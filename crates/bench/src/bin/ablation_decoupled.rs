@@ -37,7 +37,7 @@ fn fmt_ms(d: Option<wcc_types::SimDuration>) -> String {
 }
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!(
         "=== Ablation A1: synchronous vs decoupled invalidation sender (scale 1/{scale}) ===\n"
     );
@@ -47,7 +47,7 @@ fn main() {
         (TraceSpec::nasa(), SimDuration::from_days(7)),
         (TraceSpec::sdsc(), SimDuration::from_secs(5 * 86_400 / 2)),
     ];
-    let jobs = parse_jobs(std::env::args());
+    let jobs = wcc_bench::or_exit(parse_jobs(std::env::args()));
     let configs: Vec<ExperimentConfig> = cases
         .iter()
         .flat_map(|(spec, lifetime)| {

@@ -14,7 +14,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!("=== Ablation A5: fixed-TTL sweep vs adaptive TTL vs invalidation (SASK, scale 1/{scale}) ===\n");
     let base = ExperimentConfig::builder(TraceSpec::sask().scaled_down(scale))
         .mean_lifetime(SimDuration::from_days(2)) // brisk churn
@@ -46,7 +46,7 @@ fn main() {
         cfg.protocol = ProtocolConfig::new(kind);
         labelled.push((kind.name().to_string(), cfg));
     }
-    let jobs = effective_jobs(parse_jobs(std::env::args()));
+    let jobs = effective_jobs(wcc_bench::or_exit(parse_jobs(std::env::args())));
     let reports: Vec<ReplayReport> =
         parallel::map_indexed(&labelled, jobs, |(_, cfg)| run_on(cfg, &trace, &mods));
     for ((label, _), r) in labelled.iter().zip(&reports) {

@@ -13,7 +13,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!("=== Ablation A3: lease-duration sweep (SASK, scale 1/{scale}) ===\n");
     println!(
         "{:<12}{:>12}{:>12}{:>14}{:>14}{:>12}{:>12}",
@@ -27,7 +27,7 @@ fn main() {
         ("8d", SimDuration::from_days(8)),
         ("30d", SimDuration::from_days(30)),
     ];
-    let jobs = parse_jobs(std::env::args());
+    let jobs = wcc_bench::or_exit(parse_jobs(std::env::args()));
     // The whole sweep (plus the infinite-lease anchor) fans out as one batch.
     let mut configs: Vec<ExperimentConfig> = leases
         .iter()

@@ -53,7 +53,7 @@ fn us(d: Option<wcc_types::SimDuration>) -> u64 {
 }
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!("=== Ablation: batched invalidation proposer (scale 1/{scale}) ===\n");
     let protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
     for fam in [WorkloadFamily::FlashCrowd, WorkloadFamily::BreakingNews] {

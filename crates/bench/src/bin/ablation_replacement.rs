@@ -54,7 +54,7 @@ fn config(policy: ReplacementPolicy, kind: ProtocolKind, scale: u64) -> Experime
 }
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!(
         "=== Ablation A2: replacement policy under a constrained cache \
          (SASK + modification-interest, scale 1/{scale}) ===\n"
@@ -70,7 +70,7 @@ fn main() {
                 .map(|policy| config(policy, kind, scale))
         })
         .collect();
-    let jobs = effective_jobs(parse_jobs(std::env::args()));
+    let jobs = effective_jobs(wcc_bench::or_exit(parse_jobs(std::env::args())));
     let reports: Vec<ReplayReport> =
         parallel::map_indexed(&configs, jobs, |cfg| run_on(cfg, &trace, &mods));
     for (kind, pair) in kinds.iter().zip(reports.chunks(2)) {

@@ -25,7 +25,7 @@ fn fmt_ms(d: Option<SimDuration>) -> String {
 }
 
 fn main() {
-    let scale = parse_scale(std::env::args()).max(4);
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args())).max(4);
     println!("=== Ablation A4: WAN latency extrapolation (EPA, scale 1/{scale}) ===\n");
     for (label, network) in [
         ("LAN (testbed)", NetworkConfig::lan()),

@@ -14,7 +14,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args()).max(4);
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args())).max(4);
     println!("=== Ablation A6: lock-step window sensitivity (EPA, scale 1/{scale}) ===\n");
     println!(
         "{:<10}{:>14}{:>14}{:>14}{:>20}",

@@ -21,7 +21,7 @@ use wcc_traces::{synthetic, ModSchedule, TraceSpec};
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!(
         "=== Extension E1: invalidation across cache topologies (NASA, scale 1/{scale}) ===\n"
     );

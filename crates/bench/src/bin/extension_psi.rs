@@ -15,7 +15,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!("=== Extension E2: piggyback server invalidation (SASK, scale 1/{scale}) ===\n");
     let base = ExperimentConfig::builder(TraceSpec::sask().scaled_down(scale))
         .mean_lifetime(SimDuration::from_days(14))

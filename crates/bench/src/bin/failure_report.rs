@@ -33,7 +33,7 @@ fn report(name: &str, out: &FailureOutcome) {
 }
 
 fn main() {
-    let scale = parse_scale(std::env::args()).max(25);
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args())).max(25);
     println!("=== Failure handling (invalidation protocol, EPA, scale 1/{scale}) ===\n");
     let cfg = ExperimentConfig::builder(TraceSpec::epa().scaled_down(scale))
         .protocol(ProtocolKind::Invalidation)

@@ -5,7 +5,7 @@ use wcc_replay::{run_trio, ExperimentConfig};
 use wcc_traces::TraceSpec;
 
 fn main() {
-    let scale = wcc_bench::parse_scale(std::env::args()).max(10);
+    let scale = wcc_bench::or_exit(wcc_bench::parse_scale(std::env::args())).max(10);
     println!("=== Robustness: headline orderings across seeds (EPA, scale 1/{scale}) ===\n");
     println!(
         "{:<8}{:>12}{:>12}{:>12}{:>10}{:>12}",

@@ -13,8 +13,8 @@ use wcc_traces::TraceSpec;
 use wcc_types::SimDuration;
 
 fn main() {
-    let scale = parse_scale(std::env::args());
-    let jobs = parse_jobs(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
+    let jobs = wcc_bench::or_exit(parse_jobs(std::env::args()));
     println!("=== Section 6: two-tier lease-augmented invalidation (SASK, scale 1/{scale}) ===\n");
     let base = ExperimentConfig::builder(TraceSpec::sask().scaled_down(scale))
         .mean_lifetime(SimDuration::from_days(14))

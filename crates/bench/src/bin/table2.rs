@@ -15,7 +15,7 @@ const PAPER: [(&str, &str, u64, u64, u64, f64); 5] = [
 ];
 
 fn main() {
-    let scale = parse_scale(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
     println!("=== Table 2: summary of the traces (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
     println!("{}", TraceSummary::header());
     let mut summaries = Vec::new();

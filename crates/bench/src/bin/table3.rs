@@ -15,8 +15,8 @@ const PAPER: [(&str, &str, f64, f64, f64); 3] = [
 ];
 
 fn main() {
-    let scale = parse_scale(std::env::args());
-    let jobs = parse_jobs(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
+    let jobs = wcc_bench::or_exit(parse_jobs(std::env::args()));
     println!("=== Table 3: EPA, SASK, ClarkNet replays (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
     // The whole 3-trace x 3-protocol grid fans out at once; reports come
     // back in submission order, so chunks of three are one trio each.

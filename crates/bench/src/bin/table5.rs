@@ -18,8 +18,8 @@ const PAPER_STORAGE: [(&str, &str); 6] = [
 ];
 
 fn main() {
-    let scale = parse_scale(std::env::args());
-    let jobs = parse_jobs(std::env::args());
+    let scale = wcc_bench::or_exit(parse_scale(std::env::args()));
+    let jobs = wcc_bench::or_exit(parse_jobs(std::env::args()));
     println!("=== Table 5: invalidation costs (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
     let experiments = paper_experiments();
     let configs: Vec<ExperimentConfig> = experiments

@@ -53,59 +53,75 @@ pub fn paper_experiments() -> Vec<(TraceSpec, SimDuration, u64)> {
 }
 
 /// Parses the common `--scale N` argument (defaults to 1 = full scale).
+/// A value that is not a whole number >= 1, or a missing value, is an
+/// error.
 ///
 /// # Examples
 ///
 /// ```
-/// assert_eq!(wcc_bench::parse_scale(["prog".into()].into_iter()), 1);
+/// assert_eq!(wcc_bench::parse_scale(["prog".into()].into_iter()), Ok(1));
 /// assert_eq!(
 ///     wcc_bench::parse_scale(["prog".into(), "--scale".into(), "10".into()].into_iter()),
-///     10
+///     Ok(10)
 /// );
 /// ```
-pub fn parse_scale(mut args: impl Iterator<Item = String>) -> u64 {
-    while let Some(arg) = args.next() {
-        if arg == "--scale" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                if n >= 1 {
-                    return n;
-                }
-            }
-            eprintln!("warning: bad --scale value; using full scale");
-            return 1;
-        }
+pub fn parse_scale(args: impl Iterator<Item = String>) -> Result<u64, String> {
+    match flag_value(args, "--scale") {
+        None => Ok(1),
+        Some(v) => match v.as_deref().map(str::parse) {
+            Some(Ok(n)) if n >= 1 => Ok(n),
+            _ => Err(bad_value("--scale", v, "a whole number >= 1")),
+        },
     }
-    1
 }
 
 /// Parses the common `--jobs N` argument: `Some(n)` when given (0 is
 /// treated as "auto", like omitting the flag), `None` otherwise — `None`
 /// defers to `WCC_JOBS` / the core count via
-/// [`wcc_replay::effective_jobs`].
+/// [`wcc_replay::effective_jobs`]. A value that is not a whole number is
+/// an error.
 ///
 /// # Examples
 ///
 /// ```
-/// assert_eq!(wcc_bench::parse_jobs(["prog".into()].into_iter()), None);
+/// assert_eq!(wcc_bench::parse_jobs(["prog".into()].into_iter()), Ok(None));
 /// assert_eq!(
 ///     wcc_bench::parse_jobs(["prog".into(), "--jobs".into(), "4".into()].into_iter()),
-///     Some(4)
+///     Ok(Some(4))
 /// );
 /// ```
-pub fn parse_jobs(mut args: impl Iterator<Item = String>) -> Option<usize> {
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => return Some(n),
-                Some(_) => return None, // 0 = auto
-                None => {
-                    eprintln!("warning: bad --jobs value; using auto");
-                    return None;
-                }
-            }
-        }
+pub fn parse_jobs(args: impl Iterator<Item = String>) -> Result<Option<usize>, String> {
+    match flag_value(args, "--jobs") {
+        None => Ok(None),
+        Some(v) => match v.as_deref().map(str::parse) {
+            Some(Ok(0)) => Ok(None),
+            Some(Ok(n)) => Ok(Some(n)),
+            _ => Err(bad_value("--jobs", v, "a whole number (0 = auto)")),
+        },
     }
-    None
+}
+
+/// The value after the first `flag` in `args`: `None` when the flag is
+/// absent, `Some(None)` when it is the last argument.
+fn flag_value(mut args: impl Iterator<Item = String>, flag: &str) -> Option<Option<String>> {
+    args.by_ref().find(|arg| arg == flag)?;
+    Some(args.next())
+}
+
+fn bad_value(flag: &str, value: Option<String>, expected: &str) -> String {
+    match value {
+        Some(v) => format!("bad {flag} value {v:?}: expected {expected}"),
+        None => format!("{flag} needs a value: {expected}"),
+    }
+}
+
+/// Unwraps a parsed flag, or prints the error and exits with status 1 —
+/// how the table binaries reject a bad argument.
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// A parsed `--shards` argument.
@@ -120,41 +136,39 @@ pub enum ShardArg {
 
 /// Parses the common `--shards N|auto` argument: `Count(n)` for an
 /// explicit count, `Auto` for the core-capped resolution, `None` when
-/// absent (or 0 / unparsable) — `None` defers to `WCC_SHARDS` / sequential
-/// via [`wcc_replay::effective_shards`].
+/// absent or 0 — `None` defers to `WCC_SHARDS` / sequential via
+/// [`wcc_replay::effective_shards`]. Any other value is an error.
 ///
 /// # Examples
 ///
 /// ```
 /// use wcc_bench::{parse_shards, ShardArg};
-/// assert_eq!(parse_shards(["prog".into()].into_iter()), None);
+/// assert_eq!(parse_shards(["prog".into()].into_iter()), Ok(None));
 /// assert_eq!(
 ///     parse_shards(["prog".into(), "--shards".into(), "4".into()].into_iter()),
-///     Some(ShardArg::Count(4))
+///     Ok(Some(ShardArg::Count(4)))
 /// );
 /// assert_eq!(
 ///     parse_shards(["prog".into(), "--shards".into(), "auto".into()].into_iter()),
-///     Some(ShardArg::Auto)
+///     Ok(Some(ShardArg::Auto))
 /// );
 /// ```
-pub fn parse_shards(mut args: impl Iterator<Item = String>) -> Option<ShardArg> {
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            let value = args.next();
-            if value.as_deref() == Some("auto") {
-                return Some(ShardArg::Auto);
-            }
-            match value.and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => return Some(ShardArg::Count(n)),
-                Some(_) => return None, // 0 = defer to WCC_SHARDS
-                None => {
-                    eprintln!("warning: bad --shards value; deferring to WCC_SHARDS");
-                    return None;
-                }
-            }
-        }
+pub fn parse_shards(args: impl Iterator<Item = String>) -> Result<Option<ShardArg>, String> {
+    let Some(v) = flag_value(args, "--shards") else {
+        return Ok(None);
+    };
+    if v.as_deref() == Some("auto") {
+        return Ok(Some(ShardArg::Auto));
     }
-    None
+    match v.as_deref().map(str::parse) {
+        Some(Ok(0)) => Ok(None),
+        Some(Ok(n)) => Ok(Some(ShardArg::Count(n))),
+        _ => Err(bad_value(
+            "--shards",
+            v,
+            "a whole number or auto (0 = WCC_SHARDS)",
+        )),
+    }
 }
 
 /// Resolves the trajectory's sharded-pass count from a parsed `--shards`.
@@ -207,42 +221,64 @@ mod tests {
         }
     }
 
+    fn args(v: &[&str]) -> std::vec::IntoIter<String> {
+        v.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
+    }
+
     #[test]
     fn scale_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_scale(args(&["p"]).into_iter()), 1);
-        assert_eq!(parse_scale(args(&["p", "--scale", "25"]).into_iter()), 25);
-        assert_eq!(parse_scale(args(&["p", "--scale", "zero"]).into_iter()), 1);
-        assert_eq!(parse_scale(args(&["p", "--scale", "0"]).into_iter()), 1);
+        assert_eq!(parse_scale(args(&["p"])), Ok(1));
+        assert_eq!(parse_scale(args(&["p", "--scale", "25"])), Ok(25));
+        for bad in [
+            &["p", "--scale", "zero"][..],
+            &["p", "--scale", "0"],
+            &["p", "--scale"],
+        ] {
+            let err = parse_scale(args(bad)).unwrap_err();
+            assert!(err.contains("--scale"), "{err}");
+        }
     }
 
     #[test]
     fn jobs_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(args(&["p"]).into_iter()), None);
-        assert_eq!(parse_jobs(args(&["p", "--jobs", "8"]).into_iter()), Some(8));
-        assert_eq!(parse_jobs(args(&["p", "--jobs", "0"]).into_iter()), None);
-        assert_eq!(parse_jobs(args(&["p", "--jobs", "x"]).into_iter()), None);
-        assert_eq!(parse_jobs(args(&["p", "--scale", "4"]).into_iter()), None);
+        assert_eq!(parse_jobs(args(&["p"])), Ok(None));
+        assert_eq!(parse_jobs(args(&["p", "--jobs", "8"])), Ok(Some(8)));
+        assert_eq!(parse_jobs(args(&["p", "--jobs", "0"])), Ok(None));
+        assert_eq!(parse_jobs(args(&["p", "--scale", "4"])), Ok(None));
+        for bad in [
+            &["p", "--jobs", "x"][..],
+            &["p", "--jobs", "-1"],
+            &["p", "--jobs"],
+        ] {
+            let err = parse_jobs(args(bad)).unwrap_err();
+            assert!(err.contains("--jobs"), "{err}");
+        }
     }
 
     #[test]
     fn shards_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_shards(args(&["p"]).into_iter()), None);
+        assert_eq!(parse_shards(args(&["p"])), Ok(None));
         assert_eq!(
-            parse_shards(args(&["p", "--shards", "3"]).into_iter()),
-            Some(ShardArg::Count(3))
+            parse_shards(args(&["p", "--shards", "3"])),
+            Ok(Some(ShardArg::Count(3)))
         );
         assert_eq!(
-            parse_shards(args(&["p", "--shards", "auto"]).into_iter()),
-            Some(ShardArg::Auto)
+            parse_shards(args(&["p", "--shards", "auto"])),
+            Ok(Some(ShardArg::Auto))
         );
-        assert_eq!(
-            parse_shards(args(&["p", "--shards", "0"]).into_iter()),
-            None
-        );
-        assert_eq!(parse_shards(args(&["p", "--jobs", "4"]).into_iter()), None);
+        assert_eq!(parse_shards(args(&["p", "--shards", "0"])), Ok(None));
+        assert_eq!(parse_shards(args(&["p", "--jobs", "4"])), Ok(None));
+        for bad in [
+            &["p", "--shards", "many"][..],
+            &["p", "--shards", "2.5"],
+            &["p", "--shards"],
+        ] {
+            let err = parse_shards(args(bad)).unwrap_err();
+            assert!(err.contains("--shards"), "{err}");
+        }
     }
 
     #[test]

@@ -1,73 +1,24 @@
 //! The tracked bench trajectory: timing the replay engine release over
 //! release.
 //!
-//! [`run`] times two fixed-seed workloads and emits a machine-readable
-//! report (`BENCH_replay.json` at the repo root, written by the
-//! `trajectory` binary and uploaded by CI):
+//! [`run`] times fixed-seed workloads and returns a [`Report`], which the
+//! `trajectory` binary writes as `BENCH_replay.json` (schema [`SCHEMA`]):
+//! the Tables 3 + 4 grid sequentially, fanned out over the worker pool and
+//! on the sharded engine (at least 2 shards, except that `--shards auto`
+//! resolves to 1 on a 1-core host); the EPA invalidation replay on one
+//! thread, with its event-arena counters and a zero-copy decode probe; the
+//! flash-crowd federation sequentially and on [`FAMILY_SHARDS`] shards,
+//! with its state-memory model; the serving tier over real sockets; two
+//! write storms under per-write and batched invalidation fan-out; the
+//! simulated latency tails of every grid replay; and the same measurements
+//! taken before three earlier optimisation rounds.
 //!
-//! * **grid** — the full Tables 3 + 4 grid (six experiments × three
-//!   protocols = 18 independent replays), once sequentially (`--jobs 1`)
-//!   and once fanned out over the worker pool. The two passes must be
-//!   byte-identical (`Debug`-string comparison, the same oracle as
-//!   `tests/determinism.rs`); the report records both wall times and the
-//!   speedup.
-//! * **sharded** — the same grid with every replay running on the sharded
-//!   engine (`--shards N`, at least 2): per-origin shards executing bounded
-//!   time windows with cross-shard event exchange at barriers (see
-//!   `wcc_simnet::ShardedSimulation`). The pass must be byte-identical to
-//!   the sequential grid; the report records its wall time and speedup.
-//!   Unlike the fan-out above (whole replays in parallel), this parallelises
-//!   *inside* one replay, so it is the number to watch when a single huge
-//!   experiment — not a grid — is the bottleneck.
-//! * **inner loop** — the EPA invalidation replay on one thread, reported
-//!   as requests per second. This isolates single-threaded engine
-//!   throughput from fan-out, so hot-path work (hashing, allocation,
-//!   message encoding) shows up here and thread-pool work shows up above.
-//!   The workload is floored at the scale-2 replay (20 329 requests) even
-//!   when the grid is scaled down further, so the arena's steady-state
-//!   recycle ratio is measured on a run long enough for the slab's
-//!   warm-up ramp and parked-timer footprint not to dominate it.
-//! * **family** — one flash-crowd federation scenario
-//!   (`FamilyConfig::city`, 64 origins sharing a client pool) replayed
-//!   sequentially and on the 8-shard engine. The two passes must be
-//!   byte-identical, and the report carries the deterministic state-memory
-//!   model (`Deployment::memory_model`): peak trace-record + site-list
-//!   bytes under the current layout versus the legacy AoS/merged-stream
-//!   layout. The ≥30% reduction is host-independent, so [`check_against`]
-//!   gates it everywhere; the `family_peak_rss_kb` field (VmHWM) is
-//!   informational only.
-//!
-//! Since schema /7 the report also carries a **proposer** block: the PR 7
-//! write storms (the flash-crowd federation above plus its breaking-news
-//! sibling) replayed once under per-write invalidation fan-out and once
-//! under the default batched proposer (`InvalBatchConfig::default()`,
-//! count threshold 8). The block records the wire INVALIDATE traffic of
-//! both passes, the coalesce ratio (intents per delivered entry) and the
-//! write-completion tails; [`check_against`] gates a ≥30% message cut, a
-//! coalesce ratio above 1 and a batched write-completion p99 no worse
-//! than per-write — all off the simulation clock, so they reproduce on
-//! any host. The batched flash-crowd replay also runs on the 8-shard
-//! engine and must stay byte-identical to its sequential pass.
-//!
-//! Since schema /5 the report also carries an **alloc_stats** block: the
-//! engine arena's event-recycling counters from the inner-loop replay
-//! (steady state must serve ≥95% of event allocations from recycled
-//! slots) and the zero-copy decode probe ([`wcc_proto::codec_sweep`] over
-//! the inner trace re-expressed as wire traffic — the only owned copies
-//! allowed are the retention copies where a `200` body enters a cache).
-//! Both gates judge the current run alone, so they hold on any host.
-//!
-//! The `BASELINE_*` constants are the same measurements taken at scale 1
-//! immediately **before** this round of optimisation (default-hasher maps,
-//! per-call `String` paths on the wire encoder, sequential-only harness) on
-//! the reference dev container, and the `PRE_SHARD_*` constants repeat the
-//! exercise immediately before the sharded-engine round (BinaryHeap event
-//! queue, sequential engine only), so the JSON carries its own
-//! before/after for both optimisation rounds. Baselines are only
-//! comparable at `scale == 1` on similar hardware; `host_cores` is
-//! recorded so a single-core runner's `speedup ≈ 1` is not mistaken for a
-//! pool regression — on one core the sharded pass *cannot* win and is
-//! instead gated on a cost ceiling over the sequential engine.
+//! Every value is one row of [`TABLE`]: its key (`block.field`), unit,
+//! JSON form and gates. That table alone drives the writer
+//! ([`Report::to_json`]), the strict reader ([`Report::from_json`]) and the
+//! checker ([`judge`], [`check`]), so it is the one place the bench gates
+//! are defined. Only the [`Tolerance`] and [`ShardShape`] gates depend on
+//! the host; every simulated value must reproduce exactly anywhere.
 //!
 //! This is the one module in the workspace allowed to read the wall clock
 //! (`Instant::now`): it measures real elapsed time by design and feeds
@@ -81,232 +32,229 @@ use crate::{paper_experiments, TABLE_SEED};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
 use wcc_replay::{run_batch, run_experiment_sharded, ExperimentConfig};
-use wcc_traces::family::{self, FamilyConfig, WorkloadFamily};
+use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
 use wcc_traces::TraceSpec;
 use wcc_types::InvalBatchConfig;
+use Gate::*;
+use Kind::*;
+use Rhs::*;
 
 /// Shard count of the family pass — the acceptance configuration for the
 /// federation workloads ("replays byte-identically sequential vs 8 shards").
 pub const FAMILY_SHARDS: usize = 8;
 
-/// Wall time of the full Tables 3+4 grid, run sequentially, measured at
-/// scale 1 on the reference container *before* the hot-path optimisation
-/// round (milliseconds).
-pub const BASELINE_GRID_SEQUENTIAL_MS: u64 = 2794;
+/// The schema every report is written in and the only one the reader takes.
+pub const SCHEMA: &str = "wcc-bench-trajectory/7";
 
-/// Wall time of the inner-loop workload (full EPA invalidation replay)
-/// before the optimisation round, same conditions (milliseconds).
-pub const BASELINE_INNER_WALL_MS: u64 = 170;
+/// Absolute slack of a [`Tolerance`] gate in milliseconds (1000× that for
+/// µs rows): reduced-scale runs finish in tens of milliseconds, where
+/// scheduler noise alone exceeds any sane percentage.
+const TIMING_GRACE_MS: f64 = 100.0;
 
-/// Requests per second of the inner-loop workload before the optimisation
-/// round (`40_658` requests / [`BASELINE_INNER_WALL_MS`]).
-pub const BASELINE_INNER_REQUESTS_PER_SEC: u64 = 239_000;
-
-/// Wall time of the full grid, run sequentially, measured at scale 1 on the
-/// 1-core reference container immediately **before** the sharded-engine
-/// round (BinaryHeap event queue, sequential engine only) — milliseconds.
-pub const PRE_SHARD_GRID_SEQUENTIAL_MS: u64 = 2582;
-
-/// Inner-loop wall time immediately before the sharded-engine round, same
-/// conditions (milliseconds).
-pub const PRE_SHARD_INNER_WALL_MS: u64 = 133;
-
-/// Inner-loop throughput immediately before the sharded-engine round
-/// (requests per second).
-pub const PRE_SHARD_INNER_REQUESTS_PER_SEC: u64 = 305_699;
-
-/// Wall time of the full grid, run sequentially, immediately **before**
-/// the raw-speed round (heap-boxed events, per-event cross-shard
-/// scheduling, owned-only wire decode) — measured at scale 20 on the
-/// 1-core reference container, i.e. the committed `ci/bench-baseline.json`
-/// of that round (milliseconds).
-pub const PRE_RAW_GRID_SEQUENTIAL_MS: u64 = 330;
-
-/// Inner-loop wall time immediately before the raw-speed round, re-measured
-/// from that round's tree at the pinned inner workload (EPA invalidation,
-/// scale 2, 20 329 requests) on the same container — median of five
-/// runs (milliseconds).
-pub const PRE_RAW_INNER_WALL_MS: u64 = 200;
-
-/// Inner-loop throughput immediately before the raw-speed round (requests
-/// per second, same pinned scale-2 workload).
-pub const PRE_RAW_INNER_REQUESTS_PER_SEC: u64 = 101_645;
-
-/// Simulated-time latency tails of one grid replay. These come from the
-/// deterministic simulation clock, not the host wall clock, so they must
-/// reproduce *exactly* across machines — the regression gate compares them
-/// byte-for-byte.
-#[derive(Debug, Clone)]
-pub struct TailEntry {
-    /// Trace name (`EPA`, `SASK`, ...).
-    pub trace: String,
-    /// Protocol name (`adaptive-ttl`, `poll-every-time`, `invalidation`).
-    pub protocol: &'static str,
-    /// Median request latency in simulated microseconds.
-    pub p50_us: u64,
-    /// 90th-percentile request latency in simulated microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile request latency in simulated microseconds.
-    pub p99_us: u64,
+/// How a row's value is written and read back.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// A non-negative integer.
+    Int,
+    /// A number with this many decimals.
+    Fixed(usize),
+    /// `true` or `false`.
+    Bool,
+    /// A string without escapes.
+    Str,
 }
 
-/// One trajectory measurement, ready to serialise.
-#[derive(Debug, Clone)]
-pub struct TrajectoryReport {
-    /// Workload divisor the run used (baselines assume 1).
-    pub scale: u64,
-    /// Worker count of the parallel grid pass.
-    pub jobs: usize,
-    /// Cores the host reported (`available_parallelism`).
-    pub host_cores: usize,
-    /// Coarse identity of the measuring host (arch/OS/cores/CPU model).
-    /// Timing baselines are only comparable between equal fingerprints;
-    /// [`check_against`] downgrades the timing gates to informational when
-    /// they differ.
-    pub host_fingerprint: String,
-    /// Replays in the grid (6 experiments × 3 protocols).
-    pub grid_configs: usize,
-    /// Grid wall time with `--jobs 1` (milliseconds).
-    pub grid_sequential_ms: u64,
-    /// Grid wall time fanned out over `jobs` workers (milliseconds).
-    pub grid_parallel_ms: u64,
-    /// `grid_sequential_ms / grid_parallel_ms`.
-    pub speedup: f64,
-    /// Whether the two grid passes produced byte-identical reports
-    /// (`Debug`-string comparison). Anything but `true` is a bug.
-    pub byte_identical: bool,
-    /// Shard count of the sharded grid pass (always at least 2).
-    pub shards: usize,
-    /// Grid wall time with every replay on the sharded engine
-    /// (milliseconds).
-    pub sharded_grid_ms: u64,
-    /// `grid_sequential_ms / sharded_grid_ms`.
-    pub sharded_speedup: f64,
-    /// Whether the sharded grid pass matched the sequential one
-    /// byte-for-byte. Anything but `true` is a bug.
-    pub sharded_byte_identical: bool,
-    /// Requests replayed by the inner-loop workload.
-    pub inner_requests: u64,
-    /// Inner-loop wall time (milliseconds).
-    pub inner_wall_ms: u64,
-    /// Inner-loop throughput.
-    pub inner_requests_per_sec: u64,
-    /// Event-arena allocations during the inner-loop replay.
-    pub events_allocated: u64,
-    /// Of those, served from the arena's free list instead of the global
-    /// allocator.
-    pub events_recycled: u64,
-    /// `events_recycled / events_allocated`, percent. Gated at ≥95 by
-    /// [`check_against`] — steady-state event dispatch must not touch the
-    /// global allocator.
-    pub events_recycled_pct: f64,
-    /// Peak in-flight events the arena held at once.
-    pub events_peak_live: u64,
-    /// Messages pushed through the zero-copy decode probe
-    /// ([`wcc_proto::codec_sweep`] over the inner trace as wire traffic).
-    pub decode_messages: u64,
-    /// Encoded bytes the probe decoded.
-    pub decode_bytes: u64,
-    /// Probe messages whose bulk data stayed borrowed in the buffer.
-    pub decode_borrows: u64,
-    /// Probe messages that needed an owning copy. Gated by
-    /// [`check_against`] to equal `decode_retained` exactly: the only
-    /// copies are retention copies.
-    pub decode_copies: u64,
-    /// Probe messages a cache retains past the buffer (`200` replies).
-    pub decode_retained: u64,
-    /// Per-config simulated latency tails of the sequential grid pass, in
-    /// table order (deterministic — see [`TailEntry`]).
-    pub tails: Vec<TailEntry>,
-    /// Name of the family pass's scenario (`flash-crowd`).
-    pub family_name: &'static str,
-    /// Origins in the family federation (one trace each).
-    pub family_origins: usize,
-    /// Configured size of the federation's shared client pool.
-    pub family_clients: u64,
-    /// Requests replayed by the family pass.
-    pub family_requests: u64,
-    /// Shard count of the family pass's sharded replay ([`FAMILY_SHARDS`]).
-    pub family_shards: usize,
-    /// Wall time of both family replays (sequential + sharded) combined,
-    /// milliseconds.
-    pub family_wall_ms: u64,
-    /// Family throughput: requests replayed across both passes
-    /// (`2 × family_requests`) over [`family_wall_ms`]. Informational,
-    /// like every derived quotient.
-    pub family_requests_per_sec: u64,
-    /// Whether the 8-shard family replay matched the sequential one
-    /// byte-for-byte. Anything but `true` is a bug.
-    pub family_byte_identical: bool,
-    /// Peak simulation-state bytes (trace-record partitions + site lists)
-    /// under the current memory-lean layout — deterministic, from
-    /// `Deployment::memory_model`.
-    pub family_state_bytes: u64,
-    /// The same peak under the legacy layout (merged record stream +
-    /// AoS site-list entries) — the refactor's "before" number.
-    pub family_legacy_state_bytes: u64,
-    /// `(legacy - current) / legacy`, percent. Host-independent; gated
-    /// at ≥30 by [`check_against`].
-    pub family_memory_reduction_pct: f64,
-    /// Peak RSS of this process (`VmHWM`, kilobytes) after the family
-    /// pass. Informational only: allocator- and host-dependent, `0` off
-    /// Linux.
-    pub family_peak_rss_kb: u64,
-    /// Concurrent keep-alive connections the serving-tier pass drove
-    /// against an in-process origin+proxy pair (schema /6).
-    pub serve_connections: usize,
-    /// Replies the serving-tier pass received and audited.
-    pub serve_requests: u64,
-    /// Connections the serving tier dropped mid-run. Gated at exactly 0
-    /// on the current run by [`check_against`].
-    pub serve_dropped: u64,
-    /// Stale serves the client-side audit counted. Gated at exactly 0 on
-    /// the current run — the paper's strong-consistency invariant, seen
-    /// from the browser.
-    pub serve_stale: u64,
-    /// Median request latency over real sockets, host microseconds.
-    pub serve_p50_us: u64,
-    /// 90th-percentile serving latency, host microseconds.
-    pub serve_p90_us: u64,
-    /// 99th-percentile serving latency, host microseconds. Same-host
-    /// baselines gate it within tolerance; foreign hosts informational.
-    pub serve_p99_us: u64,
-    /// 99.9th-percentile serving latency, host microseconds.
-    pub serve_p999_us: u64,
-    /// Wall time of the serving-tier pass, milliseconds.
-    pub serve_wall_ms: u64,
-    /// Serving throughput, replies per wall second. Informational.
-    pub serve_requests_per_sec: u64,
-    /// Count threshold of the batched proposer pass
-    /// (`InvalBatchConfig::default().max_entries`, schema /7).
-    pub proposer_batch_entries: usize,
-    /// Wire INVALIDATE messages of the batched write-storm passes
-    /// (flash-crowd + breaking-news; batch messages counted once).
-    pub proposer_messages: u64,
-    /// Wire INVALIDATE messages of the same storms under per-write
-    /// fan-out — the counterfactual the reduction is judged against.
-    pub proposer_per_write_messages: u64,
-    /// `(per_write - batched) / per_write`, percent. Deterministic; gated
-    /// at ≥30 by [`check_against`].
-    pub proposer_reduction_pct: f64,
-    /// Invalidation intents per delivered entry across both batched
-    /// storms (`> 1` once repeated writes coalesce). Gated at > 1.
-    pub proposer_coalesce_ratio: f64,
-    /// Median write-completion time (first fan-out to last ack) of the
-    /// batched passes, simulated microseconds.
-    pub proposer_write_p50_us: u64,
-    /// 99th-percentile write-completion time of the batched passes,
-    /// simulated microseconds. Gated to be no worse than
-    /// [`Self::proposer_per_write_p99_us`].
-    pub proposer_write_p99_us: u64,
-    /// 99th-percentile write-completion time of the per-write passes,
-    /// simulated microseconds.
-    pub proposer_per_write_p99_us: u64,
-    /// Whether the batched flash-crowd replay matched its 8-shard run
-    /// byte-for-byte. Anything but `true` is a bug.
-    pub proposer_byte_identical: bool,
-    /// Wall time of all proposer-pass replays combined, milliseconds.
-    pub proposer_wall_ms: u64,
+/// The right-hand side of a bound gate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rhs {
+    /// A constant.
+    Const(f64),
+    /// Another row of the same report.
+    Row(&'static str),
+}
+
+/// One check on a row. Bound gates and [`MustBeTrue`] judge the current
+/// report alone, so they bind on any host and in write mode too; the
+/// others compare against a baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// Equal to the baseline.
+    Exact,
+    /// Within ±tolerance of the baseline (plus [`TIMING_GRACE_MS`]);
+    /// informational unless both carry the same `host_fingerprint`.
+    Tolerance,
+    /// `current >= rhs`.
+    Floor(Rhs),
+    /// `current > rhs`.
+    Above(Rhs),
+    /// `current <= rhs`.
+    Ceiling(Rhs),
+    /// `current == rhs`.
+    Equals(Rhs),
+    /// `true`.
+    MustBeTrue,
+    /// The sharded pass on the baseline's host: on 1 core `sharded_ms` at
+    /// most 3× `sequential_ms` (plus grace), on ≥4 cores at scale 1 a
+    /// speedup of at least 1.5, informational on any other shape.
+    ShardShape,
+}
+
+/// No gate: the row is reported, never judged.
+pub const INFORMATIONAL: &[Gate] = &[];
+const EXACT: &[Gate] = &[Exact];
+const TIMING: &[Gate] = &[Tolerance];
+const TRUE: &[Gate] = &[MustBeTrue];
+
+/// One row of [`TABLE`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spec {
+    /// `block.field`, or a top-level field name.
+    pub key: &'static str,
+    /// Unit of the value (`""` for counts, flags and text).
+    pub unit: &'static str,
+    /// JSON form of the value.
+    pub kind: Kind,
+    /// The checks on the value.
+    pub gates: &'static [Gate],
+}
+
+const fn row(key: &'static str, unit: &'static str, kind: Kind, gates: &'static [Gate]) -> Spec {
+    Spec {
+        key,
+        unit,
+        kind,
+        gates,
+    }
+}
+
+const PER_WRITE_P99: &str = "proposer.proposer_per_write_p99_us";
+
+/// Every row of a `/7` report, in write order. The `latency_tails` row
+/// stands for one row per grid replay and quantile (see [`keys`]).
+pub const TABLE: &[Spec] = &[
+    row("schema", "", Str, INFORMATIONAL),
+    row("scale", "", Int, EXACT),
+    row("jobs", "", Int, INFORMATIONAL),
+    row("host_cores", "", Int, INFORMATIONAL),
+    row("host_fingerprint", "", Str, INFORMATIONAL),
+    row("grid.configs", "", Int, EXACT),
+    row("grid.sequential_ms", "ms", Int, TIMING),
+    row("grid.parallel_ms", "ms", Int, TIMING),
+    row("grid.speedup", "x", Fixed(3), INFORMATIONAL),
+    row("grid.byte_identical", "", Bool, TRUE),
+    row("sharded.shards", "", Int, INFORMATIONAL),
+    row("sharded.sharded_ms", "ms", Int, TIMING),
+    row("sharded.sharded_speedup", "x", Fixed(3), &[ShardShape]),
+    row("sharded.sharded_byte_identical", "", Bool, TRUE),
+    row("inner_loop.workload", "", Str, INFORMATIONAL),
+    row("inner_loop.requests", "", Int, EXACT),
+    row("inner_loop.wall_ms", "ms", Int, TIMING),
+    row("inner_loop.requests_per_sec", "1/s", Int, INFORMATIONAL),
+    row("alloc_stats.events_allocated", "", Int, INFORMATIONAL),
+    row("alloc_stats.events_recycled", "", Int, INFORMATIONAL),
+    row(
+        "alloc_stats.events_recycled_pct",
+        "%",
+        Fixed(1),
+        &[Floor(Const(95.0))],
+    ),
+    row("alloc_stats.events_peak_live", "", Int, INFORMATIONAL),
+    row("alloc_stats.decode_messages", "", Int, EXACT),
+    row("alloc_stats.decode_bytes", "B", Int, EXACT),
+    row("alloc_stats.decode_borrows", "", Int, INFORMATIONAL),
+    row(
+        "alloc_stats.decode_copies",
+        "",
+        Int,
+        &[Equals(Row("alloc_stats.decode_retained"))],
+    ),
+    row("alloc_stats.decode_retained", "", Int, EXACT),
+    row("family.family_name", "", Str, INFORMATIONAL),
+    row("family.family_origins", "", Int, EXACT),
+    row("family.family_clients", "", Int, INFORMATIONAL),
+    row("family.family_requests", "", Int, EXACT),
+    row("family.family_shards", "", Int, INFORMATIONAL),
+    row("family.family_wall_ms", "ms", Int, TIMING),
+    row("family.family_requests_per_sec", "1/s", Int, INFORMATIONAL),
+    row("family.family_byte_identical", "", Bool, TRUE),
+    row("family.family_state_bytes", "B", Int, EXACT),
+    row("family.family_legacy_state_bytes", "B", Int, EXACT),
+    row(
+        "family.family_memory_reduction_pct",
+        "%",
+        Fixed(1),
+        &[Floor(Const(30.0))],
+    ),
+    row("family.family_peak_rss_kb", "kB", Int, INFORMATIONAL),
+    row("serve.serve_connections", "", Int, EXACT),
+    row("serve.serve_requests", "", Int, EXACT),
+    row("serve.serve_dropped", "", Int, &[Equals(Const(0.0))]),
+    row("serve.serve_stale", "", Int, &[Equals(Const(0.0))]),
+    row("serve.serve_p50_us", "us", Int, INFORMATIONAL),
+    row("serve.serve_p90_us", "us", Int, INFORMATIONAL),
+    row("serve.serve_p99_us", "us", Int, TIMING),
+    row("serve.serve_p999_us", "us", Int, INFORMATIONAL),
+    row("serve.serve_wall_ms", "ms", Int, TIMING),
+    row("serve.serve_requests_per_sec", "1/s", Int, INFORMATIONAL),
+    row("proposer.proposer_batch_entries", "", Int, INFORMATIONAL),
+    row("proposer.proposer_messages", "", Int, EXACT),
+    row("proposer.proposer_per_write_messages", "", Int, EXACT),
+    row(
+        "proposer.proposer_reduction_pct",
+        "%",
+        Fixed(1),
+        &[Floor(Const(30.0))],
+    ),
+    row(
+        "proposer.proposer_coalesce_ratio",
+        "x",
+        Fixed(3),
+        &[Above(Const(1.0))],
+    ),
+    row("proposer.proposer_write_p50_us", "us", Int, EXACT),
+    row(
+        "proposer.proposer_write_p99_us",
+        "us",
+        Int,
+        &[Exact, Ceiling(Row(PER_WRITE_P99))],
+    ),
+    row(PER_WRITE_P99, "us", Int, EXACT),
+    row("proposer.proposer_byte_identical", "", Bool, TRUE),
+    row("proposer.proposer_wall_ms", "ms", Int, TIMING),
+    row("latency_tails", "us", Int, EXACT),
+    row("baseline.note", "", Str, INFORMATIONAL),
+    row("baseline.grid_sequential_ms", "ms", Int, INFORMATIONAL),
+    row("baseline.inner_wall_ms", "ms", Int, INFORMATIONAL),
+    row("baseline.inner_requests_per_sec", "1/s", Int, INFORMATIONAL),
+    row("pre_shard.note", "", Str, INFORMATIONAL),
+    row("pre_shard.pre_shard_grid_ms", "ms", Int, INFORMATIONAL),
+    row("pre_shard.pre_shard_inner_ms", "ms", Int, INFORMATIONAL),
+    row("pre_shard.pre_shard_inner_rps", "1/s", Int, INFORMATIONAL),
+    row("pre_raw.note", "", Str, INFORMATIONAL),
+    row("pre_raw.pre_raw_grid_ms", "ms", Int, INFORMATIONAL),
+    row("pre_raw.pre_raw_inner_ms", "ms", Int, INFORMATIONAL),
+    row("pre_raw.pre_raw_inner_rps", "1/s", Int, INFORMATIONAL),
+];
+
+/// Every key of a `/7` report in write order, with its [`TABLE`] row:
+/// `latency_tails` expands to `latency_tails.<trace>.<protocol>.<pNN>_us`
+/// for every grid replay in table order.
+pub fn keys() -> Vec<(String, &'static Spec)> {
+    let mut out = Vec::new();
+    for spec in TABLE {
+        if spec.key != "latency_tails" {
+            out.push((spec.key.to_string(), spec));
+            continue;
+        }
+        for trace in grid_trace_labels() {
+            for kind in ProtocolKind::PAPER_TRIO {
+                for q in ["p50_us", "p90_us", "p99_us"] {
+                    out.push((format!("latency_tails.{trace}.{}.{q}", kind.name()), spec));
+                }
+            }
+        }
+    }
+    out
 }
 
 /// The 18-config Tables 3+4 grid at `scale`, in table order.
@@ -327,14 +275,9 @@ pub fn grid_configs(scale: u64) -> Vec<ExperimentConfig> {
 
 /// Unique per-experiment row labels for the grid, in table order: the
 /// trace names, with the two SDSC lifetime variants disambiguated by the
-/// paper's modification counts (`SDSC(57)`, `SDSC(576)`).
-///
-/// The labels come from [`paper_experiments`]' fixed counts, not from the
-/// scaled spec, so reduced-scale CI runs and the committed full-scale
-/// baseline emit identical `latency_tails` keys. Before schema /5 the
-/// tails reused the bare trace name, so the two SDSC experiments produced
-/// six rows under five distinct keys — ambiguous for any by-key consumer;
-/// [`run`] now asserts the `(trace, protocol)` keys are unique.
+/// paper's modification counts (`SDSC(57)`, `SDSC(576)`). They come from
+/// [`paper_experiments`]' fixed counts, not from the scaled spec, so every
+/// scale emits the same `latency_tails` keys.
 pub fn grid_trace_labels() -> Vec<String> {
     paper_experiments()
         .iter()
@@ -349,12 +292,10 @@ pub fn grid_trace_labels() -> Vec<String> {
 }
 
 /// A coarse identifier of the measuring host: architecture, OS, core count
-/// and CPU model, e.g. `x86_64/linux/8c/AMD EPYC 7B13`.
-///
-/// Wall-clock baselines taken on one machine say nothing about another, so
-/// the report records where it was measured and [`check_against`] only
-/// enforces the timing gates when the fingerprints agree (the deterministic
-/// fields are gated regardless — they must reproduce everywhere).
+/// and CPU model, e.g. `x86_64/linux/8c/AMD EPYC 7B13`. Wall-clock
+/// baselines from one machine say nothing about another, so the
+/// [`Tolerance`] and [`ShardShape`] gates bind only between equal
+/// fingerprints.
 pub fn host_fingerprint() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let model = cpu_model().unwrap_or_else(|| "unknown-cpu".to_string());
@@ -407,7 +348,7 @@ fn millis(elapsed: std::time::Duration) -> u64 {
     elapsed.as_millis().max(1) as u64
 }
 
-/// Runs the trajectory workloads and returns the measurements.
+/// Runs the trajectory workloads and returns the report.
 ///
 /// `jobs` follows the usual resolution ([`wcc_replay::effective_jobs`]):
 /// explicit value, else `WCC_JOBS`, else the core count. `shards` is the
@@ -416,10 +357,17 @@ fn millis(elapsed: std::time::Duration) -> u64 {
 /// auto` resolution on a 1-core host — re-measures the sequential engine
 /// through the sharded entry point instead of paying the barrier tax for
 /// parallelism the host cannot deliver.
-pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
+pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> Report {
     let jobs = wcc_replay::effective_jobs(jobs);
     let shards = shards.max(1);
     let configs = grid_configs(scale);
+    // The byte-identity oracle of `tests/determinism.rs`.
+    let identical = |a: &[_], b: &[_]| {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(s, p)| format!("{s:?}") == format!("{p:?}"))
+    };
 
     let start = Instant::now();
     let sequential = run_batch(&configs, Some(1));
@@ -428,12 +376,6 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     let start = Instant::now();
     let parallel = run_batch(&configs, Some(jobs));
     let grid_parallel_ms = millis(start.elapsed());
-
-    let byte_identical = sequential.len() == parallel.len()
-        && sequential
-            .iter()
-            .zip(&parallel)
-            .all(|(s, p)| format!("{s:?}") == format!("{p:?}"));
 
     // Sharded pass: the same grid, one replay at a time, each running on
     // the sharded engine. Kept sequential at the batch level so the wall
@@ -444,35 +386,8 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
         .map(|cfg| run_experiment_sharded(cfg, shards))
         .collect();
     let sharded_grid_ms = millis(start.elapsed());
-    let sharded_byte_identical = sequential.len() == sharded.len()
-        && sequential
-            .iter()
-            .zip(&sharded)
-            .all(|(s, p)| format!("{s:?}") == format!("{p:?}"));
 
     let us = |d: Option<wcc_types::SimDuration>| d.map_or(0, |d| d.as_micros());
-    let labels = grid_trace_labels();
-    let per_trio = ProtocolKind::PAPER_TRIO.len();
-    let tails: Vec<TailEntry> = sequential
-        .iter()
-        .enumerate()
-        .map(|(i, r)| TailEntry {
-            trace: labels[i / per_trio].clone(),
-            protocol: r.protocol.name(),
-            p50_us: us(r.raw.latency.median()),
-            p90_us: us(r.raw.latency.p90()),
-            p99_us: us(r.raw.latency.p99()),
-        })
-        .collect();
-    let mut tail_keys = std::collections::BTreeSet::new();
-    for t in &tails {
-        assert!(
-            tail_keys.insert((t.trace.clone(), t.protocol)),
-            "duplicate latency_tails row {}/{}",
-            t.trace,
-            t.protocol
-        );
-    }
 
     // Inner loop: one full EPA invalidation replay on the calling thread,
     // timed end-to-end like `run_experiment` (materialisation included)
@@ -484,8 +399,7 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     // workload would let that footprint dominate the denominator and make
     // the ≥95% steady-state gate unmeetable for structural, not
     // regression, reasons. All of these counters come off the simulation
-    // clock and are byte-deterministic, so the measured ratio carries no
-    // host noise.
+    // clock and are byte-deterministic.
     let inner_scale = scale.min(2);
     let inner_cfg = ExperimentConfig::builder(TraceSpec::epa().scaled_down(inner_scale))
         .protocol(ProtocolKind::Invalidation)
@@ -506,7 +420,8 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
 
     // Decode probe: the inner trace re-expressed as wire traffic — one GET
     // per record, answered with a 200 on the first touch of each document
-    // (the retention copy into a cache) and a 304 thereafter.
+    // (the retention copy into a cache) and a 304 thereafter. The only
+    // owned copies allowed are those retention copies.
     let mut corpus = Vec::with_capacity(inner_trace.records.len() * 2);
     let mut first_touch = vec![true; inner_trace.doc_count()];
     for (i, rec) in inner_trace.records.iter().enumerate() {
@@ -538,44 +453,44 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     }
     let codec = wcc_proto::codec_sweep(&corpus);
 
+    // One federation replay under invalidation, sequential or on
+    // `FAMILY_SHARDS` engine shards. Callers keep the deployment alive to
+    // the end of the run, so its drop stays out of the timed passes.
+    let family_protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let replay = |workload: &FamilyWorkload, options: &DeploymentOptions, sharded: bool| {
+        let mut dep =
+            Deployment::build_multi(&workload.workloads, &family_protocol, options.clone());
+        if sharded {
+            dep.run_sharded(FAMILY_SHARDS);
+        } else {
+            dep.run();
+        }
+        let report = dep.collect();
+        (dep, report)
+    };
+
     // Family pass: one flash-crowd federation (64 origins, shared client
-    // pool), replayed sequentially and on the 8-shard engine, compared
-    // with the same Debug-string oracle as the grids. The state-bytes
-    // pair comes from the deterministic memory model, not the host
-    // allocator, so the reduction gate reproduces everywhere.
+    // pool), replayed sequentially and on the 8-shard engine. The
+    // state-bytes pair comes from the deterministic memory model, not the
+    // host allocator, so the reduction gate reproduces everywhere.
     let family_cfg = FamilyConfig::city(WorkloadFamily::FlashCrowd).scaled_down(scale);
     let family_workload = family::generate(&family_cfg, TABLE_SEED);
-    let family_protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let per_write = DeploymentOptions::default();
     let start = Instant::now();
-    let mut fam_seq = Deployment::build_multi(
-        &family_workload.workloads,
-        &family_protocol,
-        DeploymentOptions::default(),
-    );
-    fam_seq.run();
-    let fam_seq_report = fam_seq.collect();
-    let mut fam_shd = Deployment::build_multi(
-        &family_workload.workloads,
-        &family_protocol,
-        DeploymentOptions::default(),
-    );
-    fam_shd.run_sharded(FAMILY_SHARDS);
-    let fam_shd_report = fam_shd.collect();
+    let (fam_seq, fam_seq_report) = replay(&family_workload, &per_write, false);
+    let (_fam_shd, fam_shd_report) = replay(&family_workload, &per_write, true);
     let family_wall_ms = millis(start.elapsed());
-    let family_byte_identical = format!("{fam_seq_report:?}") == format!("{fam_shd_report:?}");
     let family_memory = fam_seq.memory_model();
 
-    // Proposer pass (schema /7): the PR 7 write storms — the flash-crowd
-    // federation above plus its breaking-news sibling — once under
-    // per-write fan-out and once under the default batched proposer. The
-    // flash-crowd per-write leg reuses the family pass's sequential report
-    // (same workload, same options), and the batched flash-crowd replay
-    // runs both sequentially and on the 8-shard engine so the batched
-    // write-completion path is pinned byte-identical under sharding.
-    // Message counts, coalesce ratio and write-completion tails all come
-    // off the simulation clock, so the gates reproduce on any host.
+    // Proposer pass: the flash-crowd federation above plus its
+    // breaking-news sibling, once under per-write fan-out and once under
+    // the default batched proposer. The flash-crowd per-write leg reuses
+    // the family pass's sequential report (same workload, same options),
+    // and the batched flash-crowd replay also runs on the 8-shard engine so
+    // the batched write-completion path is pinned byte-identical under
+    // sharding. Every number comes off the simulation clock.
     let batch_cfg = InvalBatchConfig::default();
-    let batched_options = DeploymentOptions {
+    let batched = DeploymentOptions {
         inval_batch: Some(batch_cfg),
         ..DeploymentOptions::default()
     };
@@ -586,34 +501,11 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     let bn_cfg = FamilyConfig::city(WorkloadFamily::BreakingNews).scaled_down(scale);
     let bn_workload = family::generate(&bn_cfg, TABLE_SEED);
     let start = Instant::now();
-    let mut bn_pw = Deployment::build_multi(
-        &bn_workload.workloads,
-        &family_protocol,
-        DeploymentOptions::default(),
-    );
-    bn_pw.run();
-    let bn_pw_report = bn_pw.collect();
-    let mut fc_batched = Deployment::build_multi(
-        &family_workload.workloads,
-        &family_protocol,
-        batched_options.clone(),
-    );
-    fc_batched.run();
-    let fc_batched_report = fc_batched.collect();
-    let mut fc_batched_shd = Deployment::build_multi(
-        &family_workload.workloads,
-        &family_protocol,
-        batched_options.clone(),
-    );
-    fc_batched_shd.run_sharded(FAMILY_SHARDS);
-    let fc_batched_shd_report = fc_batched_shd.collect();
-    let mut bn_batched =
-        Deployment::build_multi(&bn_workload.workloads, &family_protocol, batched_options);
-    bn_batched.run();
-    let bn_batched_report = bn_batched.collect();
+    let (_bn_pw, bn_pw_report) = replay(&bn_workload, &per_write, false);
+    let (_fc_batched, fc_batched_report) = replay(&family_workload, &batched, false);
+    let (_fc_batched_shd, fc_batched_shd_report) = replay(&family_workload, &batched, true);
+    let (_bn_batched, bn_batched_report) = replay(&bn_workload, &batched, false);
     let proposer_wall_ms = millis(start.elapsed());
-    let proposer_byte_identical =
-        format!("{fc_batched_report:?}") == format!("{fc_batched_shd_report:?}");
 
     let proposer_per_write_messages =
         wire_invalidations(&fam_seq_report) + wire_invalidations(&bn_pw_report);
@@ -641,12 +533,10 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     let mut per_write_writes = fam_seq_report.write_completion.clone();
     per_write_writes.merge(&bn_pw_report.write_completion);
 
-    // Serving-tier pass (schema /6): the readiness-reactor origin+proxy
-    // pair under a few thousand keep-alive connections, in-process so the
-    // pass needs no child binaries. The floor of 64 keeps reduced-scale
-    // CI runs meaningful; full scale drives 2048. The dropped/stale gates
-    // are judged on the current run alone (host-independent); the latency
-    // tail follows the usual same-host timing rule.
+    // Serving-tier pass: the readiness-reactor origin+proxy pair under a
+    // few thousand keep-alive connections, in-process so the pass needs no
+    // child binaries. The floor of 64 keeps reduced-scale runs
+    // meaningful; full scale drives 2048.
     let serve_cfg = crate::serve::ServeBenchConfig {
         connections: (2048 / scale.max(1)).max(64) as usize,
         requests_per_conn: 8,
@@ -659,809 +549,728 @@ pub fn run(scale: u64, jobs: Option<usize>, shards: usize) -> TrajectoryReport {
     let serve = crate::serve::run(&serve_cfg).expect("serving-tier bench pass");
     let q = |v: Option<u64>| v.unwrap_or(0);
 
-    TrajectoryReport {
-        scale,
-        jobs,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        host_fingerprint: host_fingerprint(),
-        grid_configs: configs.len(),
-        grid_sequential_ms,
-        grid_parallel_ms,
-        speedup: grid_sequential_ms as f64 / grid_parallel_ms as f64,
-        byte_identical,
-        shards,
-        sharded_grid_ms,
-        sharded_speedup: grid_sequential_ms as f64 / sharded_grid_ms as f64,
-        sharded_byte_identical,
-        inner_requests: inner_raw.requests,
-        inner_wall_ms,
-        inner_requests_per_sec: inner_raw.requests * 1000 / inner_wall_ms,
-        events_allocated: alloc.allocated,
-        events_recycled: alloc.recycled,
-        events_recycled_pct: alloc.recycled_pct(),
-        events_peak_live: alloc.peak_live,
-        decode_messages: codec.messages,
-        decode_bytes: codec.bytes,
-        decode_borrows: codec.borrows,
-        decode_copies: codec.copies,
-        decode_retained: codec.retained,
-        tails,
-        family_name: family_cfg.family.name(),
-        family_origins: family_workload.workloads.len(),
-        family_clients: u64::from(family_cfg.spec.num_clients),
-        family_requests: family_workload.total_requests(),
-        family_shards: FAMILY_SHARDS,
-        family_wall_ms,
-        family_requests_per_sec: family_workload.total_requests() * 2 * 1000 / family_wall_ms,
-        family_byte_identical,
-        family_state_bytes: family_memory.peak_bytes(),
-        family_legacy_state_bytes: family_memory.legacy_peak_bytes(),
-        family_memory_reduction_pct: family_memory.reduction_pct(),
-        family_peak_rss_kb: peak_rss_kb(),
-        serve_connections: serve.connections,
-        serve_requests: serve.requests,
-        serve_dropped: serve.dropped,
-        serve_stale: serve.stale,
-        serve_p50_us: q(serve.latency.p50()),
-        serve_p90_us: q(serve.latency.p90()),
-        serve_p99_us: q(serve.latency.p99()),
-        serve_p999_us: q(serve.latency.p999()),
-        serve_wall_ms: serve.wall_ms,
-        serve_requests_per_sec: serve.requests_per_sec() as u64,
-        proposer_batch_entries: batch_cfg.max_entries,
-        proposer_messages,
+    let mut r = Report::default();
+    r.push("schema", SCHEMA);
+    r.push("scale", scale);
+    r.push("jobs", jobs);
+    r.push("host_cores", wcc_replay::host_cores());
+    r.push("host_fingerprint", host_fingerprint());
+    r.push("grid.configs", configs.len());
+    r.push("grid.sequential_ms", grid_sequential_ms);
+    r.push("grid.parallel_ms", grid_parallel_ms);
+    r.push(
+        "grid.speedup",
+        grid_sequential_ms as f64 / grid_parallel_ms as f64,
+    );
+    r.push("grid.byte_identical", identical(&sequential, &parallel));
+    r.push("sharded.shards", shards);
+    r.push("sharded.sharded_ms", sharded_grid_ms);
+    r.push(
+        "sharded.sharded_speedup",
+        grid_sequential_ms as f64 / sharded_grid_ms as f64,
+    );
+    r.push(
+        "sharded.sharded_byte_identical",
+        identical(&sequential, &sharded),
+    );
+    r.push("inner_loop.workload", "EPA invalidation replay");
+    r.push("inner_loop.requests", inner_raw.requests);
+    r.push("inner_loop.wall_ms", inner_wall_ms);
+    r.push(
+        "inner_loop.requests_per_sec",
+        inner_raw.requests * 1000 / inner_wall_ms,
+    );
+    r.push("alloc_stats.events_allocated", alloc.allocated);
+    r.push("alloc_stats.events_recycled", alloc.recycled);
+    r.push("alloc_stats.events_recycled_pct", alloc.recycled_pct());
+    r.push("alloc_stats.events_peak_live", alloc.peak_live);
+    r.push("alloc_stats.decode_messages", codec.messages);
+    r.push("alloc_stats.decode_bytes", codec.bytes);
+    r.push("alloc_stats.decode_borrows", codec.borrows);
+    r.push("alloc_stats.decode_copies", codec.copies);
+    r.push("alloc_stats.decode_retained", codec.retained);
+    let family_requests = family_workload.total_requests();
+    r.push("family.family_name", family_cfg.family.name());
+    r.push("family.family_origins", family_workload.workloads.len());
+    r.push(
+        "family.family_clients",
+        u64::from(family_cfg.spec.num_clients),
+    );
+    r.push("family.family_requests", family_requests);
+    r.push("family.family_shards", FAMILY_SHARDS);
+    r.push("family.family_wall_ms", family_wall_ms);
+    r.push(
+        "family.family_requests_per_sec",
+        family_requests * 2 * 1000 / family_wall_ms,
+    );
+    let family_identical = format!("{fam_seq_report:?}") == format!("{fam_shd_report:?}");
+    r.push("family.family_byte_identical", family_identical);
+    r.push("family.family_state_bytes", family_memory.peak_bytes());
+    r.push(
+        "family.family_legacy_state_bytes",
+        family_memory.legacy_peak_bytes(),
+    );
+    r.push(
+        "family.family_memory_reduction_pct",
+        family_memory.reduction_pct(),
+    );
+    r.push("family.family_peak_rss_kb", peak_rss_kb());
+    r.push("serve.serve_connections", serve.connections);
+    r.push("serve.serve_requests", serve.requests);
+    r.push("serve.serve_dropped", serve.dropped);
+    r.push("serve.serve_stale", serve.stale);
+    r.push("serve.serve_p50_us", q(serve.latency.p50()));
+    r.push("serve.serve_p90_us", q(serve.latency.p90()));
+    r.push("serve.serve_p99_us", q(serve.latency.p99()));
+    r.push("serve.serve_p999_us", q(serve.latency.p999()));
+    r.push("serve.serve_wall_ms", serve.wall_ms);
+    r.push(
+        "serve.serve_requests_per_sec",
+        serve.requests_per_sec() as u64,
+    );
+    r.push("proposer.proposer_batch_entries", batch_cfg.max_entries);
+    r.push("proposer.proposer_messages", proposer_messages);
+    r.push(
+        "proposer.proposer_per_write_messages",
         proposer_per_write_messages,
-        proposer_reduction_pct,
-        proposer_coalesce_ratio,
-        proposer_write_p50_us: us(batched_writes.median()),
-        proposer_write_p99_us: us(batched_writes.p99()),
-        proposer_per_write_p99_us: us(per_write_writes.p99()),
-        proposer_byte_identical,
-        proposer_wall_ms,
+    );
+    r.push("proposer.proposer_reduction_pct", proposer_reduction_pct);
+    r.push("proposer.proposer_coalesce_ratio", proposer_coalesce_ratio);
+    r.push(
+        "proposer.proposer_write_p50_us",
+        us(batched_writes.median()),
+    );
+    r.push("proposer.proposer_write_p99_us", us(batched_writes.p99()));
+    r.push(PER_WRITE_P99, us(per_write_writes.p99()));
+    let batched_identical =
+        format!("{fc_batched_report:?}") == format!("{fc_batched_shd_report:?}");
+    r.push("proposer.proposer_byte_identical", batched_identical);
+    r.push("proposer.proposer_wall_ms", proposer_wall_ms);
+    let labels = grid_trace_labels();
+    for (i, rep) in sequential.iter().enumerate() {
+        let label = &labels[i / ProtocolKind::PAPER_TRIO.len()];
+        let at = format!("latency_tails.{label}.{}", rep.protocol.name());
+        r.push(format!("{at}.p50_us"), us(rep.raw.latency.median()));
+        r.push(format!("{at}.p90_us"), us(rep.raw.latency.p90()));
+        r.push(format!("{at}.p99_us"), us(rep.raw.latency.p99()));
+    }
+    r.push(
+        "baseline.note",
+        "pre-optimisation, scale 1, sequential harness, reference container",
+    );
+    r.push("baseline.grid_sequential_ms", 2794u64);
+    r.push("baseline.inner_wall_ms", 170u64);
+    r.push("baseline.inner_requests_per_sec", 239_000u64);
+    r.push(
+        "pre_shard.note",
+        "immediately before the sharded-engine round, scale 1, sequential engine, \
+         1-core reference container",
+    );
+    r.push("pre_shard.pre_shard_grid_ms", 2582u64);
+    r.push("pre_shard.pre_shard_inner_ms", 133u64);
+    r.push("pre_shard.pre_shard_inner_rps", 305_699u64);
+    r.push(
+        "pre_raw.note",
+        "immediately before the raw-speed round (arena events, batched windows, zero-copy \
+         decode), 1-core reference container; grid at scale 20, inner loop at its pinned \
+         scale-2 workload",
+    );
+    r.push("pre_raw.pre_raw_grid_ms", 330u64);
+    r.push("pre_raw.pre_raw_inner_ms", 200u64);
+    r.push("pre_raw.pre_raw_inner_rps", 101_645u64);
+    r
+}
+
+/// One reported value with its [`TABLE`] row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// The row's key; a `latency_tails` key names its replay and quantile.
+    pub key: String,
+    /// The value as written in the document: a number at the row's
+    /// precision, `true`/`false`, or a quoted string.
+    pub value: String,
+    /// Unit, JSON form and gates of the row.
+    pub spec: &'static Spec,
+}
+
+impl Metric {
+    fn field(&self) -> &str {
+        self.key.split_once('.').map_or("", |(_, f)| f)
+    }
+
+    /// `<trace>.<protocol>` of a `latency_tails` row.
+    fn replay(&self) -> Option<&str> {
+        self.field().rsplit_once('.').map(|(replay, _)| replay)
     }
 }
 
-impl TrajectoryReport {
-    /// Serialises the report (plus the embedded baselines) as JSON.
+/// A trajectory report: the rows of [`keys`], in order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Report {
+    /// The rows, in write order.
+    pub rows: Vec<Metric>,
+}
+
+impl Report {
+    /// Appends row `key`, written as its [`Kind`] says: a fixed-decimal
+    /// value is rounded to its precision here, so the gates judge what the
+    /// document says.
     ///
-    /// Hand-rolled — the workspace carries no serde — but stable: keys are
-    /// emitted in a fixed order so diffs between releases are meaningful.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"wcc-bench-trajectory/7\",\n");
-        out.push_str(&format!("  \"scale\": {},\n", self.scale));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        out.push_str(&format!(
-            "  \"host_fingerprint\": \"{}\",\n",
-            self.host_fingerprint
-        ));
-        out.push_str("  \"grid\": {\n");
-        out.push_str(&format!("    \"configs\": {},\n", self.grid_configs));
-        out.push_str(&format!(
-            "    \"sequential_ms\": {},\n",
-            self.grid_sequential_ms
-        ));
-        out.push_str(&format!(
-            "    \"parallel_ms\": {},\n",
-            self.grid_parallel_ms
-        ));
-        out.push_str(&format!("    \"speedup\": {:.3},\n", self.speedup));
-        out.push_str(&format!(
-            "    \"byte_identical\": {}\n",
-            self.byte_identical
-        ));
-        out.push_str("  },\n");
-        // Key names stay unique document-wide ("sharded_ms", not a second
-        // "wall_ms") so the linear key scan in `json_number` stays
-        // unambiguous.
-        out.push_str("  \"sharded\": {\n");
-        out.push_str(&format!("    \"shards\": {},\n", self.shards));
-        out.push_str(&format!("    \"sharded_ms\": {},\n", self.sharded_grid_ms));
-        out.push_str(&format!(
-            "    \"sharded_speedup\": {:.3},\n",
-            self.sharded_speedup
-        ));
-        out.push_str(&format!(
-            "    \"sharded_byte_identical\": {}\n",
-            self.sharded_byte_identical
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"inner_loop\": {\n");
-        out.push_str("    \"workload\": \"EPA invalidation replay\",\n");
-        out.push_str(&format!("    \"requests\": {},\n", self.inner_requests));
-        out.push_str(&format!("    \"wall_ms\": {},\n", self.inner_wall_ms));
-        out.push_str(&format!(
-            "    \"requests_per_sec\": {}\n",
-            self.inner_requests_per_sec
-        ));
-        out.push_str("  },\n");
-        // Arena + decode counters (schema /5). Key names stay unique
-        // document-wide, like every block's.
-        out.push_str("  \"alloc_stats\": {\n");
-        out.push_str(&format!(
-            "    \"events_allocated\": {},\n",
-            self.events_allocated
-        ));
-        out.push_str(&format!(
-            "    \"events_recycled\": {},\n",
-            self.events_recycled
-        ));
-        out.push_str(&format!(
-            "    \"events_recycled_pct\": {:.1},\n",
-            self.events_recycled_pct
-        ));
-        out.push_str(&format!(
-            "    \"events_peak_live\": {},\n",
-            self.events_peak_live
-        ));
-        out.push_str(&format!(
-            "    \"decode_messages\": {},\n",
-            self.decode_messages
-        ));
-        out.push_str(&format!("    \"decode_bytes\": {},\n", self.decode_bytes));
-        out.push_str(&format!(
-            "    \"decode_borrows\": {},\n",
-            self.decode_borrows
-        ));
-        out.push_str(&format!("    \"decode_copies\": {},\n", self.decode_copies));
-        out.push_str(&format!(
-            "    \"decode_retained\": {}\n",
-            self.decode_retained
-        ));
-        out.push_str("  },\n");
-        // Every family key carries the "family_" prefix so the linear
-        // key scans stay unambiguous against the grid blocks.
-        out.push_str("  \"family\": {\n");
-        out.push_str(&format!("    \"family_name\": \"{}\",\n", self.family_name));
-        out.push_str(&format!(
-            "    \"family_origins\": {},\n",
-            self.family_origins
-        ));
-        out.push_str(&format!(
-            "    \"family_clients\": {},\n",
-            self.family_clients
-        ));
-        out.push_str(&format!(
-            "    \"family_requests\": {},\n",
-            self.family_requests
-        ));
-        out.push_str(&format!("    \"family_shards\": {},\n", self.family_shards));
-        out.push_str(&format!(
-            "    \"family_wall_ms\": {},\n",
-            self.family_wall_ms
-        ));
-        out.push_str(&format!(
-            "    \"family_requests_per_sec\": {},\n",
-            self.family_requests_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"family_byte_identical\": {},\n",
-            self.family_byte_identical
-        ));
-        out.push_str(&format!(
-            "    \"family_state_bytes\": {},\n",
-            self.family_state_bytes
-        ));
-        out.push_str(&format!(
-            "    \"family_legacy_state_bytes\": {},\n",
-            self.family_legacy_state_bytes
-        ));
-        out.push_str(&format!(
-            "    \"family_memory_reduction_pct\": {:.1},\n",
-            self.family_memory_reduction_pct
-        ));
-        out.push_str(&format!(
-            "    \"family_peak_rss_kb\": {}\n",
-            self.family_peak_rss_kb
-        ));
-        out.push_str("  },\n");
-        // Serving-tier block (schema /6). Every key carries the "serve_"
-        // prefix so the linear key scans stay unambiguous.
-        out.push_str("  \"serve\": {\n");
-        out.push_str(&format!(
-            "    \"serve_connections\": {},\n",
-            self.serve_connections
-        ));
-        out.push_str(&format!(
-            "    \"serve_requests\": {},\n",
-            self.serve_requests
-        ));
-        out.push_str(&format!("    \"serve_dropped\": {},\n", self.serve_dropped));
-        out.push_str(&format!("    \"serve_stale\": {},\n", self.serve_stale));
-        out.push_str(&format!("    \"serve_p50_us\": {},\n", self.serve_p50_us));
-        out.push_str(&format!("    \"serve_p90_us\": {},\n", self.serve_p90_us));
-        out.push_str(&format!("    \"serve_p99_us\": {},\n", self.serve_p99_us));
-        out.push_str(&format!("    \"serve_p999_us\": {},\n", self.serve_p999_us));
-        out.push_str(&format!("    \"serve_wall_ms\": {},\n", self.serve_wall_ms));
-        out.push_str(&format!(
-            "    \"serve_requests_per_sec\": {}\n",
-            self.serve_requests_per_sec
-        ));
-        out.push_str("  },\n");
-        // Batched-proposer block (schema /7). Every key carries the
-        // "proposer_" prefix so the linear key scans stay unambiguous.
-        out.push_str("  \"proposer\": {\n");
-        out.push_str(&format!(
-            "    \"proposer_batch_entries\": {},\n",
-            self.proposer_batch_entries
-        ));
-        out.push_str(&format!(
-            "    \"proposer_messages\": {},\n",
-            self.proposer_messages
-        ));
-        out.push_str(&format!(
-            "    \"proposer_per_write_messages\": {},\n",
-            self.proposer_per_write_messages
-        ));
-        out.push_str(&format!(
-            "    \"proposer_reduction_pct\": {:.1},\n",
-            self.proposer_reduction_pct
-        ));
-        out.push_str(&format!(
-            "    \"proposer_coalesce_ratio\": {:.3},\n",
-            self.proposer_coalesce_ratio
-        ));
-        out.push_str(&format!(
-            "    \"proposer_write_p50_us\": {},\n",
-            self.proposer_write_p50_us
-        ));
-        out.push_str(&format!(
-            "    \"proposer_write_p99_us\": {},\n",
-            self.proposer_write_p99_us
-        ));
-        out.push_str(&format!(
-            "    \"proposer_per_write_p99_us\": {},\n",
-            self.proposer_per_write_p99_us
-        ));
-        out.push_str(&format!(
-            "    \"proposer_byte_identical\": {},\n",
-            self.proposer_byte_identical
-        ));
-        out.push_str(&format!(
-            "    \"proposer_wall_ms\": {}\n",
-            self.proposer_wall_ms
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"latency_tails\": [\n");
-        for (i, t) in self.tails.iter().enumerate() {
-            let comma = if i + 1 == self.tails.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{ \"trace\": \"{}\", \"protocol\": \"{}\", \
-                 \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {} }}{comma}\n",
-                t.trace, t.protocol, t.p50_us, t.p90_us, t.p99_us
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"baseline\": {\n");
-        out.push_str(
-            "    \"note\": \"pre-optimisation, scale 1, sequential harness, reference container\",\n",
-        );
-        out.push_str(&format!(
-            "    \"grid_sequential_ms\": {},\n",
-            BASELINE_GRID_SEQUENTIAL_MS
-        ));
-        out.push_str(&format!(
-            "    \"inner_wall_ms\": {},\n",
-            BASELINE_INNER_WALL_MS
-        ));
-        out.push_str(&format!(
-            "    \"inner_requests_per_sec\": {}\n",
-            BASELINE_INNER_REQUESTS_PER_SEC
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"pre_shard\": {\n");
-        out.push_str(
-            "    \"note\": \"immediately before the sharded-engine round, scale 1, \
-             sequential engine, 1-core reference container\",\n",
-        );
-        out.push_str(&format!(
-            "    \"pre_shard_grid_ms\": {},\n",
-            PRE_SHARD_GRID_SEQUENTIAL_MS
-        ));
-        out.push_str(&format!(
-            "    \"pre_shard_inner_ms\": {},\n",
-            PRE_SHARD_INNER_WALL_MS
-        ));
-        out.push_str(&format!(
-            "    \"pre_shard_inner_rps\": {}\n",
-            PRE_SHARD_INNER_REQUESTS_PER_SEC
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"pre_raw\": {\n");
-        out.push_str(
-            "    \"note\": \"immediately before the raw-speed round (arena events, \
-             batched windows, zero-copy decode), 1-core reference container; grid at \
-             scale 20, inner loop at its pinned scale-2 workload\",\n",
-        );
-        out.push_str(&format!(
-            "    \"pre_raw_grid_ms\": {},\n",
-            PRE_RAW_GRID_SEQUENTIAL_MS
-        ));
-        out.push_str(&format!(
-            "    \"pre_raw_inner_ms\": {},\n",
-            PRE_RAW_INNER_WALL_MS
-        ));
-        out.push_str(&format!(
-            "    \"pre_raw_inner_rps\": {}\n",
-            PRE_RAW_INNER_REQUESTS_PER_SEC
-        ));
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Extracts the first number stored under `"key":` in a report JSON.
-///
-/// The workspace carries no serde, and [`TrajectoryReport::to_json`] emits
-/// keys in a fixed order with unique quoted names, so a linear scan is both
-/// sufficient and stable. Returns `None` when the key is absent.
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the first string stored under `"key":` in a report JSON.
-///
-/// Same linear-scan contract as [`json_number`]; the values the report
-/// emits are pre-sanitised (no embedded quotes), so no unescaping is
-/// needed. Returns `None` when the key is absent or not a string.
-pub fn json_string(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// The `"latency_tails": [...]` block of a report JSON, verbatim.
-fn tails_block(doc: &str) -> Option<&str> {
-    let start = doc.find("\"latency_tails\": [")?;
-    let end = start + doc[start..].find(']')?;
-    Some(&doc[start..=end])
-}
-
-/// Timing fields get an absolute grace on top of the relative tolerance:
-/// reduced-scale CI runs finish in tens of milliseconds, where scheduler
-/// noise alone exceeds any sane percentage.
-const TIMING_GRACE_MS: f64 = 100.0;
-
-/// Compares a fresh measurement against a committed baseline JSON
-/// (`ci/bench-baseline.json`), the CI bench-regression gate.
-///
-/// * **Deterministic fields** (`scale`, grid `configs`, inner-loop
-///   `requests`, the full `latency_tails` block) must match exactly, and
-///   the fresh run's `byte_identical` flag must be `true` — these come
-///   from the simulation clock and cannot legitimately drift.
-/// * **Timing fields** (`sequential_ms`, `parallel_ms`, `sharded_ms`,
-///   `wall_ms`) must be within `tolerance` (relative, e.g. `0.15` = ±15%)
-///   of the baseline, with [`TIMING_GRACE_MS`] of absolute slack — but
-///   only when the baseline's `host_fingerprint` matches the current
-///   host's. A baseline measured on different hardware says nothing about
-///   this machine's wall clock, so on a mismatch every timing and shard
-///   gate is downgraded to informational (logged in the table) while the
-///   deterministic fields and both byte-identity flags stay mandatory.
-/// * **Derived fields** (`speedup`, `requests_per_sec`) are reported but
-///   not gated: they are quotients of numbers already checked, and gating
-///   them twice only doubles the flake rate.
-/// * **Sharding** is gated by host shape: on a 1-core host the sharded
-///   grid may cost at most 3× (plus grace) over the sequential grid —
-///   the window-synchronisation tax is fixed while sequential dispatch
-///   got ~4× faster in the raw-speed round — and its speedup is
-///   informational; on a ≥4-core host at full scale the speedup must
-///   reach 1.5×; anything in between is informational. The sharded pass
-///   must be byte-identical in every case.
-/// * **Allocation discipline** (schema /5): `events_recycled_pct` must
-///   reach 95 and `decode_copies` must equal `decode_retained` — both
-///   judged on the current run alone (host-independent), like the memory
-///   gate. The deterministic decode-probe fields (`decode_messages`,
-///   `decode_bytes`, `decode_retained`) are exact against baselines that
-///   carry them and informational against pre-/5 baselines.
-/// * **Family pass** (schema /4): `family_byte_identical` must be `true`
-///   and `family_memory_reduction_pct` must reach 30 — both judged on the
-///   current run alone, since they are host-independent. The deterministic
-///   federation fields (`family_origins`, `family_requests`, the two
-///   state-bytes numbers) are exact against baselines that carry them and
-///   informational against pre-/4 baselines; `family_wall_ms` follows the
-///   usual same-host timing rule.
-/// * **Batched proposer** (schema /7): `proposer_reduction_pct` must reach
-///   30, `proposer_coalesce_ratio` must exceed 1, the batched
-///   write-completion p99 must be no worse than the per-write one, and
-///   `proposer_byte_identical` must be `true` — all judged on the current
-///   run alone, since every number comes off the simulation clock. The
-///   deterministic message counts and write-completion quantiles are exact
-///   against baselines that carry them and informational against pre-/7
-///   baselines; `proposer_wall_ms` follows the same-host timing rule.
-/// * **Serving tier** (schema /6): `serve_dropped` and `serve_stale` must
-///   both be exactly 0 — judged on the current run alone, since a dropped
-///   connection or a stale serve is a defect on any host. The workload
-///   shape (`serve_connections`, `serve_requests`) is exact against
-///   baselines that carry it and informational against pre-/6 baselines;
-///   `serve_p99_us` and `serve_wall_ms` follow the same-host timing rule
-///   (real-socket latency says nothing across hardware).
-///
-/// Returns the comparison table either way: `Ok` when everything passed,
-/// `Err` when anything regressed.
-pub fn check_against(
-    current: &TrajectoryReport,
-    baseline: &str,
-    tolerance: f64,
-) -> Result<String, String> {
-    let cur = current.to_json();
-    let same_host =
-        json_string(baseline, "host_fingerprint").is_some_and(|b| b == current.host_fingerprint);
-    let mut table = String::new();
-    if !same_host {
-        let _ = writeln!(
-            table,
-            "note: baseline host fingerprint ({}) differs from this host ({});\n\
-             note: timing and shard gates are informational on this run — exact\n\
-             note: fields and byte-identity are still enforced.",
-            json_string(baseline, "host_fingerprint").unwrap_or_else(|| "absent".to_string()),
-            current.host_fingerprint
-        );
-    }
-    let _ = writeln!(
-        table,
-        "{:<16} {:>14} {:>14}  verdict",
-        "field", "baseline", "current"
-    );
-    let mut failed = false;
-    let mut row = |name: &str, base: Option<f64>, cur: Option<f64>, ok: bool, note: &str| {
-        let f = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v}"));
-        let _ = writeln!(
-            table,
-            "{name:<16} {:>14} {:>14}  {}{note}",
-            f(base),
-            f(cur),
-            if ok { "ok" } else { "FAIL" }
-        );
-        failed |= !ok;
-    };
-
-    for key in ["scale", "configs", "requests"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        row(key, b, c, b.is_some() && b == c, " (exact)");
-    }
-    for key in ["sequential_ms", "parallel_ms", "sharded_ms", "wall_ms"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        let within = match (b, c) {
-            (Some(b), Some(c)) => (c - b).abs() <= (tolerance * b).max(TIMING_GRACE_MS),
-            _ => false,
-        };
-        if same_host {
-            row(key, b, c, within, &format!(" (±{:.0}%)", tolerance * 100.0));
-        } else {
-            row(key, b, c, true, " (informational: different host)");
-        }
-    }
-    for key in ["speedup", "requests_per_sec"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        row(key, b, c, true, " (informational)");
-    }
-
-    // Engine-sharding gates depend on the host. On one core the sharded
-    // pass cannot win — barrier and window bookkeeping are pure overhead —
-    // so the gate there is a cost ceiling relative to the sequential
-    // engine. The raw-speed round made sequential event dispatch ~4×
-    // faster while the per-window synchronisation tax is fixed, so the
-    // ceiling is 3× (the pre-raw rounds used 1.05× against a much slower
-    // sequential engine); absolute creep of the sharded pass itself is
-    // separately pinned by the `sharded_ms` ±tolerance row above. The
-    // paper-facing ≥1.5× claim is only enforced where it can hold: a
-    // multi-core host running the full-scale workload (reduced-scale
-    // windows are too short for the parallelism to amortise the barriers).
-    let shard_base = json_number(baseline, "sharded_speedup");
-    let shard_cur = Some((current.sharded_speedup * 1000.0).round() / 1000.0);
-    if !same_host {
-        row(
-            "sharded_speedup",
-            shard_base,
-            shard_cur,
-            true,
-            " (informational: different host)",
-        );
-    } else if current.host_cores == 1 {
-        let overhead = current.sharded_grid_ms as f64 / current.grid_sequential_ms.max(1) as f64;
-        let ok = current.sharded_grid_ms as f64
-            <= current.grid_sequential_ms as f64 * 3.0 + TIMING_GRACE_MS;
-        row(
-            "shard_overhead",
-            Some(3.0),
-            Some((overhead * 1000.0).round() / 1000.0),
-            ok,
-            " (sharded/sequential ceiling, 1-core host)",
-        );
-        row(
-            "sharded_speedup",
-            shard_base,
-            shard_cur,
-            true,
-            " (informational: 1-core host)",
-        );
-    } else if current.host_cores >= 4 && current.scale == 1 {
-        row(
-            "sharded_speedup",
-            shard_base,
-            shard_cur,
-            current.sharded_speedup >= 1.5,
-            " (>= 1.5: multi-core host, full scale)",
-        );
-    } else {
-        row(
-            "sharded_speedup",
-            shard_base,
-            shard_cur,
-            true,
-            " (informational)",
-        );
-    }
-
-    let as_num = |b: bool| if b { 1.0 } else { 0.0 };
-    row(
-        "byte_identical",
-        Some(as_num(baseline.contains("\"byte_identical\": true"))),
-        Some(as_num(current.byte_identical)),
-        current.byte_identical,
-        " (must be 1)",
-    );
-    row(
-        "sharded_ident",
-        Some(as_num(
-            baseline.contains("\"sharded_byte_identical\": true"),
-        )),
-        Some(as_num(current.sharded_byte_identical)),
-        current.sharded_byte_identical,
-        " (must be 1)",
-    );
-
-    // Family block (schema /4). The deterministic federation fields must
-    // match exactly when the baseline carries them (a pre-/4 baseline is
-    // informational); the byte-identity and ≥30% memory-reduction gates
-    // judge the *current* run alone — both are host-independent, so they
-    // hold even against a foreign or legacy baseline.
-    for key in [
-        "family_origins",
-        "family_requests",
-        "family_state_bytes",
-        "family_legacy_state_bytes",
-    ] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        if b.is_some() {
-            row(key, b, c, b == c, " (exact)");
-        } else {
-            row(key, b, c, true, " (informational: baseline pre-/4)");
-        }
-    }
-    let (b, c) = (
-        json_number(baseline, "family_wall_ms"),
-        json_number(&cur, "family_wall_ms"),
-    );
-    match (same_host, b) {
-        (true, Some(b_ms)) => {
-            let within = c
-                .is_some_and(|c_ms| (c_ms - b_ms).abs() <= (tolerance * b_ms).max(TIMING_GRACE_MS));
-            row(
-                "family_wall_ms",
-                b,
-                c,
-                within,
-                &format!(" (±{:.0}%)", tolerance * 100.0),
-            );
-        }
-        (true, None) => row(
-            "family_wall_ms",
-            b,
-            c,
-            true,
-            " (informational: baseline pre-/4)",
-        ),
-        (false, _) => row(
-            "family_wall_ms",
-            b,
-            c,
-            true,
-            " (informational: different host)",
-        ),
-    }
-    row(
-        "family_ident",
-        Some(as_num(baseline.contains("\"family_byte_identical\": true"))),
-        Some(as_num(current.family_byte_identical)),
-        current.family_byte_identical,
-        " (must be 1)",
-    );
-    row(
-        "family_mem_cut",
-        Some(30.0),
-        Some((current.family_memory_reduction_pct * 10.0).round() / 10.0),
-        current.family_memory_reduction_pct >= 30.0,
-        " (>= 30% state-bytes cut vs legacy layout)",
-    );
-
-    // Allocation-discipline gates (schema /5), judged on the current run
-    // alone: steady-state event dispatch must recycle ≥95% of arena
-    // allocations, and the decode probe's only owned copies must be the
-    // retention copies (200 bodies entering a cache).
-    row(
-        "alloc_recycle",
-        Some(95.0),
-        Some((current.events_recycled_pct * 10.0).round() / 10.0),
-        current.events_recycled_pct >= 95.0,
-        " (>= 95% events recycled, current run)",
-    );
-    row(
-        "decode_copies",
-        Some(current.decode_retained as f64),
-        Some(current.decode_copies as f64),
-        current.decode_copies == current.decode_retained,
-        " (== decode_retained, current run)",
-    );
-    for key in ["decode_messages", "decode_bytes", "decode_retained"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        if b.is_some() {
-            row(key, b, c, b == c, " (exact)");
-        } else {
-            row(key, b, c, true, " (informational: baseline pre-/5)");
-        }
-    }
-
-    // Serving-tier gates (schema /6). Dropped connections and stale
-    // serves are defects regardless of host or baseline age, so those two
-    // rows judge the current run alone. Workload shape is exact against
-    // /6 baselines; the latency tail and wall time follow the same-host
-    // timing rule like every host-clock measurement.
-    row(
-        "serve_dropped",
-        Some(0.0),
-        Some(current.serve_dropped as f64),
-        current.serve_dropped == 0,
-        " (== 0, current run)",
-    );
-    row(
-        "serve_stale",
-        Some(0.0),
-        Some(current.serve_stale as f64),
-        current.serve_stale == 0,
-        " (== 0, current run)",
-    );
-    for key in ["serve_connections", "serve_requests"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        if b.is_some() {
-            row(key, b, c, b == c, " (exact)");
-        } else {
-            row(key, b, c, true, " (informational: baseline pre-/6)");
-        }
-    }
-    for key in ["serve_p99_us", "serve_wall_ms"] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        // The absolute grace is expressed in the field's own unit.
-        let grace = if key.ends_with("_us") {
-            TIMING_GRACE_MS * 1000.0
-        } else {
-            TIMING_GRACE_MS
-        };
-        match (same_host, b) {
-            (true, Some(b_v)) => {
-                let within = c.is_some_and(|c_v| (c_v - b_v).abs() <= (tolerance * b_v).max(grace));
-                row(key, b, c, within, &format!(" (±{:.0}%)", tolerance * 100.0));
+    /// # Panics
+    ///
+    /// If `key` is not one of [`keys`] or is already present.
+    pub fn push(&mut self, key: impl Into<String>, value: impl std::fmt::Display) {
+        let key = key.into();
+        let spec = keys().into_iter().find(|(k, _)| *k == key).map(|(_, s)| s);
+        let spec = spec.unwrap_or_else(|| panic!("{key} is not a trajectory row"));
+        assert!(self.get(&key).is_none(), "duplicate trajectory row {key}");
+        let value = match spec.kind {
+            Fixed(decimals) => {
+                let v: f64 = value.to_string().parse().unwrap_or(f64::NAN);
+                format!("{v:.decimals$}")
             }
-            (true, None) => row(key, b, c, true, " (informational: baseline pre-/6)"),
-            (false, _) => row(key, b, c, true, " (informational: different host)"),
+            Str => format!("\"{value}\""),
+            Int | Bool => value.to_string(),
+        };
+        self.rows.push(Metric { key, value, spec });
+    }
+
+    /// The value of row `key` as written, if present.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.rows
+            .iter()
+            .find(|m| m.key == key)
+            .map(|m| m.value.as_str())
+    }
+
+    /// The number in row `key`; NaN, which fails every bound, when the row
+    /// is absent or not a number.
+    pub fn num(&self, key: &str) -> f64 {
+        self.get(key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Serialises the report in the `/7` layout: top-level rows, one
+    /// object per block, `latency_tails` as an array of one-line entries.
+    pub fn to_json(&self) -> String {
+        let block = |m: &Metric| m.key.split_once('.').map(|(b, _)| b.to_string());
+        let groups = self
+            .rows
+            .chunk_by(|a, b| block(a).is_some() && block(a) == block(b));
+        let parts: Vec<String> = groups
+            .map(|group| match block(&group[0]).as_deref() {
+                None => format!("  \"{}\": {}", group[0].key, group[0].value),
+                Some("latency_tails") => {
+                    let entries = group
+                        .chunk_by(|a, b| a.replay() == b.replay())
+                        .map(|entry| {
+                            let at = entry[0].replay().unwrap_or_default();
+                            let (trace, protocol) = at.split_once('.').unwrap_or_default();
+                            let mut line = format!(
+                                "    {{ \"trace\": \"{trace}\", \"protocol\": \"{protocol}\""
+                            );
+                            for m in entry {
+                                let quantile = m.key.rsplit('.').next().unwrap_or_default();
+                                let _ = write!(line, ", \"{quantile}\": {}", m.value);
+                            }
+                            line + " }"
+                        });
+                    let entries: Vec<String> = entries.collect();
+                    format!("  \"latency_tails\": [\n{}\n  ]", entries.join(",\n"))
+                }
+                Some(name) => {
+                    let fields = group
+                        .iter()
+                        .map(|m| format!("    \"{}\": {}", m.field(), m.value));
+                    let fields: Vec<String> = fields.collect();
+                    format!("  \"{name}\": {{\n{}\n  }}", fields.join(",\n"))
+                }
+            })
+            .collect();
+        format!("{{\n{}\n}}\n", parts.join(",\n"))
+    }
+
+    /// Reads a `/7` document back into rows, strictly: a wrong schema, an
+    /// unknown, duplicate or missing key, a value of the wrong type, a
+    /// truncated document or trailing input is an error naming the key or
+    /// byte offset.
+    pub fn from_json(doc: &str) -> Result<Self, String> {
+        let expected = keys();
+        let mut found: Vec<(String, String)> = Vec::new();
+        let mut parser = Parser { doc, at: 0 };
+        parser.value("", &mut |key, value, at| {
+            let Some((_, spec)) = expected.iter().find(|(k, _)| *k == key) else {
+                return Err(format!("byte {at}: unknown key {key}"));
+            };
+            if found.iter().any(|(k, _)| *k == key) {
+                return Err(format!("byte {at}: duplicate key {key}"));
+            }
+            let fits = match spec.kind {
+                Int => value.bytes().all(|c| c.is_ascii_digit()),
+                Fixed(_) => value.parse::<f64>().is_ok_and(f64::is_finite),
+                Bool => value == "true" || value == "false",
+                Str => value.starts_with('"'),
+            };
+            if !fits {
+                return Err(format!(
+                    "byte {at}: {key} must be {:?}, not {value}",
+                    spec.kind
+                ));
+            }
+            if key == "schema" && value != format!("\"{SCHEMA}\"") {
+                return Err(format!("byte {at}: schema {value} is not {SCHEMA}"));
+            }
+            found.push((key, value));
+            Ok(())
+        })?;
+        if parser.peek().is_some() {
+            return parser.fail("the end of the document");
+        }
+        let rows = expected.into_iter().map(|(key, spec)| {
+            let at = found.iter().position(|(k, _)| *k == key);
+            let at = at.ok_or_else(|| format!("missing key {key}"))?;
+            Ok(Metric {
+                key,
+                value: found[at].1.clone(),
+                spec,
+            })
+        });
+        Ok(Report {
+            rows: rows.collect::<Result<_, String>>()?,
+        })
+    }
+}
+
+/// Receives each scalar the parser reads: its flattened key, its text and
+/// its byte offset.
+type Sink<'a> = dyn FnMut(String, String, usize) -> Result<(), String> + 'a;
+
+/// A JSON reader for the subset the writer emits (objects, arrays,
+/// strings without escapes, bare numbers and booleans). It flattens
+/// nested objects into `block.field` keys and `latency_tails` entries into
+/// `latency_tails.<trace>.<protocol>.<quantile>` keys.
+struct Parser<'a> {
+    doc: &'a str,
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn fail<T>(&self, expected: &str) -> Result<T, String> {
+        Err(format!("byte {}: expected {expected}", self.at))
+    }
+
+    fn peek(&mut self) -> Option<u8> {
+        let rest = &self.doc[self.at..];
+        self.at += rest.len() - rest.trim_start().len();
+        self.doc.as_bytes().get(self.at).copied()
+    }
+
+    /// Reads the value at `path`, handing every scalar to `sink`.
+    fn value(&mut self, path: &str, sink: &mut Sink<'_>) -> Result<(), String> {
+        let join = |key: &str| [path, key].join(if path.is_empty() { "" } else { "." });
+        match self.peek() {
+            Some(b'{') => self.list(b'}', |p| {
+                let key = p.token()?;
+                let Some(key) = key.strip_prefix('"').and_then(|k| k.strip_suffix('"')) else {
+                    return p.fail("a quoted key");
+                };
+                if p.peek() != Some(b':') {
+                    return p.fail("':'");
+                }
+                p.at += 1;
+                p.value(&join(key), sink)
+            }),
+            Some(b'[') => self.list(b']', |p| {
+                let mut fields = Vec::new();
+                p.value("", &mut |key, value, _| {
+                    fields.push((key, value));
+                    Ok(())
+                })?;
+                let [(t, trace), (r, protocol), quantiles @ ..] = &fields[..] else {
+                    return p.fail("an entry with trace and protocol");
+                };
+                if (t.as_str(), r.as_str()) != ("trace", "protocol") {
+                    return p.fail("an entry opening with trace and protocol");
+                }
+                let replay = format!("{}.{}", trace.trim_matches('"'), protocol.trim_matches('"'));
+                for (quantile, v) in quantiles {
+                    sink(join(&format!("{replay}.{quantile}")), v.clone(), p.at)?;
+                }
+                Ok(())
+            }),
+            _ => {
+                let token = self.token()?;
+                sink(path.to_string(), token, self.at)
+            }
         }
     }
 
-    // Batched-proposer gates (schema /7), judged on the current run alone:
-    // the storms must cost ≥30% fewer wire INVALIDATEs than per-write
-    // fan-out, repeated writes must actually coalesce, the batching delay
-    // must not worsen the write-completion tail, and the batched replay
-    // must survive sharding byte-identically.
-    row(
-        "proposer_cut",
-        Some(30.0),
-        Some((current.proposer_reduction_pct * 10.0).round() / 10.0),
-        current.proposer_reduction_pct >= 30.0,
-        " (>= 30% wire INVALIDATE cut, current run)",
-    );
-    row(
-        "proposer_merge",
-        Some(1.0),
-        Some((current.proposer_coalesce_ratio * 1000.0).round() / 1000.0),
-        current.proposer_coalesce_ratio > 1.0,
-        " (> 1 intents per delivered entry, current run)",
-    );
-    row(
-        "proposer_p99",
-        Some(current.proposer_per_write_p99_us as f64),
-        Some(current.proposer_write_p99_us as f64),
-        current.proposer_write_p99_us <= current.proposer_per_write_p99_us,
-        " (<= per-write write-completion p99, current run)",
-    );
-    row(
-        "proposer_ident",
-        Some(as_num(
-            baseline.contains("\"proposer_byte_identical\": true"),
-        )),
-        Some(as_num(current.proposer_byte_identical)),
-        current.proposer_byte_identical,
-        " (must be 1)",
-    );
-    for key in [
-        "proposer_messages",
-        "proposer_per_write_messages",
-        "proposer_write_p50_us",
-        "proposer_write_p99_us",
-        "proposer_per_write_p99_us",
-    ] {
-        let (b, c) = (json_number(baseline, key), json_number(&cur, key));
-        if b.is_some() {
-            row(key, b, c, b == c, " (exact)");
-        } else {
-            row(key, b, c, true, " (informational: baseline pre-/7)");
+    /// Reads `[`/`{`, then `each` element up to `close`, comma-separated.
+    fn list(
+        &mut self,
+        close: u8,
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.at += 1;
+        if self.peek() == Some(close) {
+            self.at += 1;
+            return Ok(());
         }
-    }
-    let (b, c) = (
-        json_number(baseline, "proposer_wall_ms"),
-        json_number(&cur, "proposer_wall_ms"),
-    );
-    match (same_host, b) {
-        (true, Some(b_ms)) => {
-            let within = c
-                .is_some_and(|c_ms| (c_ms - b_ms).abs() <= (tolerance * b_ms).max(TIMING_GRACE_MS));
-            row(
-                "proposer_wall_ms",
-                b,
-                c,
-                within,
-                &format!(" (±{:.0}%)", tolerance * 100.0),
-            );
+        loop {
+            each(self)?;
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(c) if c == close => {
+                    self.at += 1;
+                    return Ok(());
+                }
+                _ => return self.fail(&format!("',' or '{}'", close as char)),
+            }
         }
-        (true, None) => row(
-            "proposer_wall_ms",
-            b,
-            c,
-            true,
-            " (informational: baseline pre-/7)",
-        ),
-        (false, _) => row(
-            "proposer_wall_ms",
-            b,
-            c,
-            true,
-            " (informational: different host)",
-        ),
     }
 
-    let tails_match = match (tails_block(baseline), tails_block(&cur)) {
-        (Some(b), Some(c)) => b == c,
-        _ => false,
+    /// A scalar verbatim: a quoted string without escapes, or a bare run
+    /// of number or keyword characters.
+    fn token(&mut self) -> Result<String, String> {
+        self.peek();
+        let start = self.at;
+        let rest = &self.doc[start..];
+        let len = match rest.strip_prefix('"') {
+            Some(body) => match body.find(['"', '\\']) {
+                Some(end) if body[end..].starts_with('"') => Some(end + 2),
+                _ => return self.fail("a closing '\"' (strings carry no escapes)"),
+            },
+            None => rest.find(|c: char| !c.is_ascii_alphanumeric() && !".-+".contains(c)),
+        }
+        .unwrap_or(rest.len());
+        if len == 0 {
+            return self.fail("a value");
+        }
+        self.at += len;
+        Ok(rest[..len].to_string())
+    }
+}
+
+/// How one gate judged one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The gate held.
+    Ok,
+    /// The gate failed.
+    Fail,
+    /// The gate does not bind here: a timing gate against another host's
+    /// baseline, or the shard rule on a host shape it does not cover.
+    Informational,
+}
+
+/// One gate's verdict on one row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The row's key.
+    pub key: String,
+    /// The gate.
+    pub gate: Gate,
+    /// The verdict.
+    pub outcome: Outcome,
+    /// The rule applied, in words.
+    pub rule: String,
+    /// The baseline's value (`-` without a baseline) and the current one,
+    /// with the row's unit.
+    pub values: (String, String),
+}
+
+/// Judges every gated row of `current`. Without a baseline only the gates
+/// that judge the current report alone run (bound gates and
+/// [`MustBeTrue`]); with one, [`Exact`], [`Tolerance`] and [`ShardShape`]
+/// run too.
+pub fn judge(current: &Report, baseline: Option<&Report>, tolerance: f64) -> Vec<Verdict> {
+    let same_host = baseline.map(|b| b.get("host_fingerprint") == current.get("host_fingerprint"));
+    let rhs = |r: Rhs| match r {
+        Const(v) => (v, v.to_string()),
+        Row(key) => (current.num(key), key.to_string()),
     };
-    let _ = writeln!(
-        table,
-        "latency_tails    {:>14} {:>14}  {} (exact, {} entries)",
-        "-",
-        "-",
-        if tails_match { "ok" } else { "FAIL" },
-        current.tails.len()
-    );
-    failed |= !tails_match;
-
-    if failed {
-        Err(table)
-    } else {
-        Ok(table)
+    let mut out = Vec::new();
+    for m in &current.rows {
+        let base = baseline.and_then(|b| b.get(&m.key));
+        let c = current.num(&m.key);
+        for &gate in m.spec.gates {
+            let (ok, rule) = match (gate, same_host) {
+                (Exact | Tolerance | ShardShape, None) => continue,
+                (Tolerance | ShardShape, Some(false)) => (None, "different host".to_string()),
+                (Exact, _) => (Some(base == Some(m.value.as_str())), "exact".to_string()),
+                (Tolerance, _) => {
+                    let b = baseline.map_or(f64::NAN, |b| b.num(&m.key));
+                    let grace = TIMING_GRACE_MS * if m.spec.unit == "us" { 1000.0 } else { 1.0 };
+                    let ok = (c - b).abs() <= (tolerance * b).max(grace);
+                    (Some(ok), format!("±{:.0}%", tolerance * 100.0))
+                }
+                (ShardShape, _) => shard_shape(current),
+                (MustBeTrue, _) => (Some(m.value == "true"), "must be true".to_string()),
+                (Floor(r), _) => (Some(c >= rhs(r).0), format!(">= {}", rhs(r).1)),
+                (Above(r), _) => (Some(c > rhs(r).0), format!("> {}", rhs(r).1)),
+                (Ceiling(r), _) => (Some(c <= rhs(r).0), format!("<= {}", rhs(r).1)),
+                (Equals(r), _) => (Some(c == rhs(r).0), format!("== {}", rhs(r).1)),
+            };
+            let outcome = match ok {
+                Some(true) => Outcome::Ok,
+                Some(false) => Outcome::Fail,
+                None => Outcome::Informational,
+            };
+            let with_unit = |v: &str| format!("{v} {}", m.spec.unit).trim_end().to_string();
+            let values = (base.map_or("-".to_string(), with_unit), with_unit(&m.value));
+            out.push(Verdict {
+                key: m.key.clone(),
+                gate,
+                outcome,
+                rule,
+                values,
+            });
+        }
     }
+    out
+}
+
+/// The [`ShardShape`] rule, on a report judged against its own host.
+fn shard_shape(current: &Report) -> (Option<bool>, String) {
+    let cores = current.num("host_cores");
+    let (ok, rule) = if cores == 1.0 {
+        let ceiling = current.num("grid.sequential_ms") * 3.0 + TIMING_GRACE_MS;
+        let ok = current.num("sharded.sharded_ms") <= ceiling;
+        (Some(ok), "sharded_ms <= 3x sequential_ms, 1-core host")
+    } else if cores >= 4.0 && current.num("scale") == 1.0 {
+        let ok = current.num("sharded.sharded_speedup") >= 1.5;
+        (Some(ok), ">= 1.5, multi-core host at full scale")
+    } else {
+        (None, "host shape")
+    };
+    (ok, rule.to_string())
+}
+
+/// Compares two `/7` documents, the CI bench-regression gate: every gate
+/// of [`TABLE`] runs, `tolerance` being the relative slack of timing
+/// rows. Errors when either document does not read back.
+pub fn check(current: &str, baseline: &str, tolerance: f64) -> Result<Vec<Verdict>, String> {
+    let current = Report::from_json(current).map_err(|e| format!("current report: {e}"))?;
+    let baseline = Report::from_json(baseline).map_err(|e| format!("baseline: {e}"))?;
+    Ok(judge(&current, Some(&baseline), tolerance))
+}
+
+/// Whether no verdict failed.
+pub fn passed(verdicts: &[Verdict]) -> bool {
+    verdicts.iter().all(|v| v.outcome != Outcome::Fail)
+}
+
+/// The verdicts as a text table, one line per row and gate.
+pub fn table(verdicts: &[Verdict]) -> String {
+    let mut out = format!(
+        "{:<44} {:>12} {:>12}  verdict\n",
+        "row", "baseline", "current"
+    );
+    for v in verdicts {
+        let verdict = match v.outcome {
+            Outcome::Ok => "ok",
+            Outcome::Fail => "FAIL",
+            Outcome::Informational => "informational",
+        };
+        let (base, cur) = &v.values;
+        let _ = writeln!(
+            out,
+            "{:<44} {base:>12} {cur:>12}  {verdict} ({})",
+            v.key, v.rule
+        );
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const COMMITTED: [&str; 2] = [
+        include_str!("../../../BENCH_replay.json"),
+        include_str!("../../../ci/bench-baseline.json"),
+    ];
+
+    fn set(report: &mut Report, key: &str, value: impl std::fmt::Display) {
+        let row = report.rows.iter_mut().find(|m| m.key == key);
+        row.unwrap_or_else(|| panic!("no row {key}")).value = value.to_string();
+    }
+
+    /// The committed pair (1-core, same host) and the same pair reshaped to
+    /// a 2-core host, a 4-core host at full scale and a foreign baseline.
+    fn host_shapes() -> Vec<(&'static str, Report, Report)> {
+        let cur = Report::from_json(COMMITTED[0]).unwrap();
+        let base = Report::from_json(COMMITTED[1]).unwrap();
+        let mut shapes = vec![("1-core", cur.clone(), base.clone())];
+        for (shape, cores, scale) in [("2-core", 2, 20), ("4-core", 4, 1)] {
+            let (mut c, mut b) = (cur.clone(), base.clone());
+            set(&mut c, "host_cores", cores);
+            set(&mut c, "sharded.sharded_speedup", 1.6);
+            set(&mut c, "scale", scale);
+            set(&mut b, "scale", scale);
+            shapes.push((shape, c, b));
+        }
+        let mut foreign = base;
+        set(
+            &mut foreign,
+            "host_fingerprint",
+            "\"arm64/linux/4c/other-cpu\"",
+        );
+        shapes.push(("foreign", cur, foreign));
+        shapes
+    }
+
+    /// Pushes row `key` just past `gate` and nothing else past its own.
+    fn violate(cur: &mut Report, base: &mut Report, key: &str, gate: Gate) {
+        let rhs = |r: Rhs| match r {
+            Const(v) => v,
+            Row(k) => cur.num(k),
+        };
+        let grace = TIMING_GRACE_MS * if key.ends_with("_us") { 1000.0 } else { 1.0 };
+        let (c, b) = (cur.num(key), base.num(key));
+        let value = match gate {
+            Exact => c + 1.0,
+            Equals(r) => rhs(r) + 1.0,
+            Tolerance => b + (0.15 * b).max(grace) + 1.0,
+            Floor(r) => rhs(r) - 0.1,
+            Above(r) => rhs(r),
+            Ceiling(r) => rhs(r) + 1.0,
+            MustBeTrue => return set(cur, key, false),
+            ShardShape if cur.num("host_cores") == 1.0 => {
+                // The fastest sequential grid the timing gate still takes,
+                // and a sharded pass just over 3x that.
+                let sequential = base.num("grid.sequential_ms") - TIMING_GRACE_MS;
+                set(cur, "grid.sequential_ms", sequential);
+                return set(
+                    cur,
+                    "sharded.sharded_ms",
+                    3.0 * sequential + TIMING_GRACE_MS + 1.0,
+                );
+            }
+            ShardShape => 1.4,
+        };
+        set(cur, key, value);
+        for spec in TABLE {
+            // A row bound to equal this one moves with it, and a ceiling's
+            // baseline moves too, so no other gate trips.
+            let bound = spec
+                .gates
+                .iter()
+                .any(|g| matches!(g, Equals(Row(k)) if *k == key));
+            if gate == Exact && bound {
+                set(cur, spec.key, value);
+            }
+        }
+        if matches!(gate, Ceiling(_)) {
+            set(base, key, value);
+        }
+    }
+
+    fn failing(cur: &Report, base: &Report) -> Vec<(String, Gate)> {
+        let verdicts = judge(cur, Some(base), 0.15).into_iter();
+        let failed = verdicts.filter(|v| v.outcome == Outcome::Fail);
+        failed.map(|v| (v.key, v.gate)).collect()
+    }
+
+    #[test]
+    fn committed_files_round_trip_byte_for_byte() {
+        for doc in COMMITTED {
+            let report = Report::from_json(doc).expect("committed report reads back");
+            assert_eq!(report.to_json(), doc);
+        }
+    }
+
+    #[test]
+    fn committed_pair_passes_every_gate() {
+        // The gates of the old hand-written checker all passed on this pair
+        // too; the new table splits its one latency_tails verdict into 54.
+        let verdicts = check(COMMITTED[0], COMMITTED[1], 0.15).unwrap();
+        let ok = verdicts.iter().all(|v| v.outcome == Outcome::Ok);
+        assert!(ok, "{}", table(&verdicts));
+        assert_eq!(verdicts.len(), 54 + 38);
+    }
+
+    #[test]
+    fn every_gate_fails_exactly_its_own_row_on_every_host_shape() {
+        for (shape, cur, base) in host_shapes() {
+            assert_eq!(failing(&cur, &base), vec![], "{shape}");
+            for v in judge(&cur, Some(&base), 0.15) {
+                let (mut c, mut b) = (cur.clone(), base.clone());
+                violate(&mut c, &mut b, &v.key, v.gate);
+                // Informational rows (timing on a foreign host, the shard
+                // rule on 2 cores) stay quiet however far they move.
+                let expected = match v.outcome {
+                    Outcome::Informational => vec![],
+                    _ => vec![(v.key.clone(), v.gate)],
+                };
+                assert_eq!(failing(&c, &b), expected, "{shape}: {} {:?}", v.key, v.gate);
+            }
+        }
+    }
+
+    #[test]
+    fn the_reader_rejects_what_it_does_not_understand() {
+        let doc = COMMITTED[0];
+        let tails = "\"EPA\", \"protocol\": \"invalidation\"";
+        for (broken, error) in [
+            (
+                doc.replace("trajectory/7", "trajectory/6"),
+                "byte 38: schema",
+            ),
+            (doc.replace("\"jobs\"", "\"jobz\""), "unknown key jobz"),
+            (
+                doc.replace("\"jobs\": 1,", "\"jobs\": 1, \"jobs\": 1,"),
+                "duplicate key jobs",
+            ),
+            (
+                doc.replace(tails, &tails.replace("EPA", "EPB")),
+                "unknown key latency_tails.EPB",
+            ),
+            (
+                doc.replace("\"decode_copies\": 1752,", ""),
+                "missing key alloc_stats.decode_copies",
+            ),
+            (
+                doc.replace("\": 92,", "\": \"92\","),
+                "grid.sequential_ms must be Int",
+            ),
+            (doc.replace("\": 92,", "\": nine,"), "must be Int, not nine"),
+            (doc[..1000].to_string(), "byte 987: expected a closing"),
+            (format!("{doc}{{}}"), "expected the end of the document"),
+        ] {
+            let err = check(&broken, doc, 0.15).unwrap_err();
+            assert!(err.contains(error), "wanted {error:?}, got {err:?}");
+        }
+    }
+
+    #[test]
+    fn reduced_scale_run_measures_and_stays_identical() {
+        let report = run(400, Some(2), 2);
+        // Every row is pushed once, in table order: the report reads back.
+        assert_eq!(Report::from_json(&report.to_json()), Ok(report.clone()));
+        for (key, want) in [
+            ("grid.configs", 18.0),
+            ("jobs", 2.0),
+            ("sharded.shards", 2.0),
+            ("family.family_origins", 64.0),
+            ("family.family_shards", FAMILY_SHARDS as f64),
+            ("proposer.proposer_batch_entries", 8.0),
+        ] {
+            assert_eq!(report.num(key), want, "{key}");
+        }
+        let requests = report.num("inner_loop.requests");
+        assert_eq!(report.num("alloc_stats.decode_messages"), requests * 2.0);
+        assert!(report.num("alloc_stats.decode_borrows") > report.num("alloc_stats.decode_copies"));
+        let per_write = report.num("proposer.proposer_per_write_messages");
+        assert!(report.num("proposer.proposer_messages") <= per_write);
+        // Every current-run gate holds this far down except the proposer
+        // bounds: a 400x-reduced storm is too sparse to batch meaningfully.
+        for v in judge(&report, None, 0.0) {
+            let sparse = v.key.starts_with("proposer.") && v.gate != MustBeTrue;
+            assert!(sparse || v.outcome == Outcome::Ok, "{v:?}");
+        }
+    }
 
     #[test]
     fn grid_covers_tables_3_and_4() {
@@ -1479,405 +1288,14 @@ mod tests {
     }
 
     #[test]
-    fn reduced_scale_run_measures_and_stays_identical() {
-        let report = run(400, Some(2), 2);
-        assert!(report.byte_identical, "parallel grid diverged");
-        assert!(report.sharded_byte_identical, "sharded grid diverged");
-        assert_eq!(report.grid_configs, 18);
-        assert_eq!(report.jobs, 2);
-        assert_eq!(report.shards, 2);
-        assert!(report.inner_requests > 0);
-        assert!(report.inner_requests_per_sec > 0);
-        // Allocation discipline shows up even at reduced scale: the arena
-        // recycles, and the decode probe copies only at retention
-        // boundaries (one 200 per distinct document, 304s thereafter).
-        assert!(report.events_allocated > 0);
-        assert!(report.events_recycled > 0);
-        assert_eq!(report.decode_messages, report.inner_requests * 2);
-        assert_eq!(report.decode_copies, report.decode_retained);
-        assert!(report.decode_borrows > report.decode_copies);
-        // Unique tails keys: the SDSC variants are told apart.
-        let sdsc: Vec<_> = report
-            .tails
-            .iter()
-            .filter(|t| t.trace.starts_with("SDSC("))
-            .collect();
-        assert_eq!(sdsc.len(), 6, "{:?}", report.tails);
-        assert!(report.grid_sequential_ms >= 1 && report.grid_parallel_ms >= 1);
-        assert!(report.sharded_grid_ms >= 1 && report.sharded_speedup > 0.0);
-        // The family pass replays the flash-crowd federation at full
-        // origin count even at reduced scale, stays byte-identical across
-        // the 8-shard engine, and clears the memory-reduction acceptance
-        // gate (deterministic model, so exact at any scale).
-        assert_eq!(report.family_name, "flash-crowd");
-        assert_eq!(report.family_origins, 64);
-        assert_eq!(report.family_shards, FAMILY_SHARDS);
-        assert!(
-            report.family_byte_identical,
-            "sharded family replay diverged"
-        );
-        assert!(report.family_requests > 0);
-        assert!(
-            report.family_state_bytes > 0
-                && report.family_state_bytes < report.family_legacy_state_bytes
-        );
-        assert!(
-            report.family_memory_reduction_pct >= 30.0,
-            "memory reduction {:.1}% below the 30% gate",
-            report.family_memory_reduction_pct
-        );
-        // The proposer pass replays the storms even at reduced scale:
-        // batching can only remove wire messages, the batched flash-crowd
-        // replay must survive sharding byte-identically, and the pass uses
-        // the default count threshold. The ≥30% / coalesce / p99 gates are
-        // asserted at CI scale by `check_against`, not here — a
-        // 400×-reduced storm is too sparse to batch meaningfully.
-        assert_eq!(report.proposer_batch_entries, 8);
-        assert!(report.proposer_messages <= report.proposer_per_write_messages);
-        assert!(report.proposer_coalesce_ratio >= 1.0);
-        assert!(
-            report.proposer_byte_identical,
-            "sharded batched replay diverged"
-        );
-    }
-
-    #[test]
-    fn json_is_stable_and_carries_baselines() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"schema\": \"wcc-bench-trajectory/7\""));
-        assert!(json.contains("\"proposer_batch_entries\": 8"));
-        assert!(json.contains("\"proposer_messages\": 109"));
-        assert!(json.contains("\"proposer_reduction_pct\": 88.5"));
-        assert!(json.contains("\"proposer_coalesce_ratio\": 1.029"));
-        assert!(json.contains("\"proposer_byte_identical\": true"));
-        assert!(json.contains("\"serve_connections\": 2048"));
-        assert!(json.contains("\"serve_dropped\": 0"));
-        assert!(json.contains("\"serve_stale\": 0"));
-        assert!(json.contains("\"serve_p99_us\": 32000"));
-        assert!(json.contains("\"events_recycled_pct\": 99.6"));
-        assert!(json.contains("\"decode_copies\": 1316"));
-        assert!(json.contains("\"decode_retained\": 1316"));
-        assert!(json.contains("\"family_requests_per_sec\": 355555"));
-        assert!(json.contains(&format!(
-            "\"pre_raw_inner_rps\": {PRE_RAW_INNER_REQUESTS_PER_SEC}"
-        )));
-        assert!(json.contains("\"family_name\": \"flash-crowd\""));
-        assert!(json.contains("\"family_origins\": 64"));
-        assert!(json.contains("\"family_byte_identical\": true"));
-        assert!(json.contains("\"family_memory_reduction_pct\": 36.9"));
-        assert!(json.contains("\"host_fingerprint\": \"x86_64/linux/8c/sample-cpu\""));
-        assert!(json.contains("\"speedup\": 2.500"));
-        assert!(json.contains("\"byte_identical\": true"));
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("\"sharded_speedup\": 1.600"));
-        assert!(json.contains("\"sharded_byte_identical\": true"));
-        assert!(json.contains(&format!(
-            "\"pre_shard_grid_ms\": {PRE_SHARD_GRID_SEQUENTIAL_MS}"
-        )));
-        assert!(json.contains(
-            "{ \"trace\": \"EPA\", \"protocol\": \"adaptive-ttl\", \
-             \"p50_us\": 1000, \"p90_us\": 2000, \"p99_us\": 150000 },"
-        ));
-        assert!(json.contains(&format!(
-            "\"grid_sequential_ms\": {BASELINE_GRID_SEQUENTIAL_MS}"
-        )));
-        // Balanced braces, no trailing commas before closers.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
-    }
-
-    #[test]
-    fn json_number_reads_unique_quoted_keys() {
-        let json = sample_report().to_json();
-        assert_eq!(json_number(&json, "scale"), Some(1.0));
-        assert_eq!(json_number(&json, "configs"), Some(18.0));
-        // inner_loop's "wall_ms", not the baseline's "inner_wall_ms".
-        assert_eq!(json_number(&json, "wall_ms"), Some(150.0));
-        // The sharded block keeps its own key names, so neither collides.
-        assert_eq!(json_number(&json, "sharded_ms"), Some(1250.0));
-        assert_eq!(json_number(&json, "shards"), Some(2.0));
-        assert_eq!(json_number(&json, "requests_per_sec"), Some(271_053.0));
-        // The family block's prefixed keys don't collide with the grid's.
-        assert_eq!(json_number(&json, "family_requests"), Some(160_000.0));
-        assert_eq!(json_number(&json, "family_shards"), Some(8.0));
-        // alloc_stats keys: "events_recycled" must not swallow the "_pct"
-        // key (the needle includes the closing quote), and the decode pair
-        // stays distinct.
-        assert_eq!(json_number(&json, "events_recycled"), Some(249_000.0));
-        assert_eq!(json_number(&json, "events_recycled_pct"), Some(99.6));
-        assert_eq!(json_number(&json, "decode_copies"), Some(1_316.0));
-        // inner_loop's "requests_per_sec" wins over the family-prefixed one.
-        assert_eq!(
-            json_number(&json, "family_requests_per_sec"),
-            Some(355_555.0)
-        );
-        assert_eq!(
-            json_number(&json, "family_memory_reduction_pct"),
-            Some(36.9)
-        );
-        // The serve block's prefixed keys stay distinct from inner_loop's
-        // "requests" and "requests_per_sec".
-        assert_eq!(json_number(&json, "serve_requests"), Some(16_384.0));
-        assert_eq!(json_number(&json, "serve_requests_per_sec"), Some(3_900.0));
-        assert_eq!(json_number(&json, "serve_p999_us"), Some(40_000.0));
-        // The proposer block's prefixed keys stay distinct, including the
-        // "proposer_write_p99_us" / "proposer_per_write_p99_us" pair.
-        assert_eq!(json_number(&json, "proposer_messages"), Some(109.0));
-        assert_eq!(
-            json_number(&json, "proposer_per_write_messages"),
-            Some(946.0)
-        );
-        assert_eq!(json_number(&json, "proposer_write_p99_us"), Some(64_096.0));
-        assert_eq!(
-            json_number(&json, "proposer_per_write_p99_us"),
-            Some(125_600.0)
-        );
-        assert_eq!(json_number(&json, "no_such_key"), None);
-    }
-
-    #[test]
-    fn check_against_passes_its_own_baseline_and_flags_regressions() {
-        let report = sample_report();
-        let baseline = report.to_json();
-        check_against(&report, &baseline, 0.15).expect("self-comparison must pass");
-
-        // Timing drift beyond tolerance + grace fails.
-        let mut slow = report.clone();
-        slow.grid_sequential_ms = report.grid_sequential_ms * 3;
-        let err = check_against(&slow, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("sequential_ms"), "{err}");
-        assert!(err.contains("FAIL"), "{err}");
-
-        // Timing drift inside the absolute grace passes.
-        let mut close = report.clone();
-        close.inner_wall_ms += 80;
-        check_against(&close, &baseline, 0.15).expect("grace window must absorb 80 ms");
-
-        // Any simulated-latency drift fails, however small.
-        let mut drift = report.clone();
-        drift.tails[1].p99_us += 1;
-        let err = check_against(&drift, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("latency_tails"), "{err}");
-
-        // A divergent parallel pass fails outright.
-        let mut split = report.clone();
-        split.byte_identical = false;
-        let err = check_against(&split, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("byte_identical"), "{err}");
-
-        // So does a divergent sharded pass.
-        let mut shard_split = report.clone();
-        shard_split.sharded_byte_identical = false;
-        let err = check_against(&shard_split, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("sharded_ident"), "{err}");
-
-        // And a divergent family pass.
-        let mut fam_split = report.clone();
-        fam_split.family_byte_identical = false;
-        let err = check_against(&fam_split, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("family_ident"), "{err}");
-
-        // The memory-reduction gate is judged on the current run alone.
-        let mut regressed = report.clone();
-        regressed.family_memory_reduction_pct = 12.0;
-        let err = check_against(&regressed, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("family_mem_cut"), "{err}");
-
-        // Deterministic federation fields are exact.
-        let mut reshaped = report.clone();
-        reshaped.family_state_bytes += 1;
-        let err = check_against(&reshaped, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("family_state_bytes"), "{err}");
-
-        // The arena must keep recycling ≥95% of event allocations.
-        let mut leaky = report.clone();
-        leaky.events_recycled_pct = 80.0;
-        let err = check_against(&leaky, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("alloc_recycle"), "{err}");
-
-        // A decode copy outside a retention boundary fails.
-        let mut copying = report.clone();
-        copying.decode_copies = copying.decode_retained + 5;
-        let err = check_against(&copying, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("decode_copies"), "{err}");
-
-        // The deterministic decode-probe fields are exact.
-        let mut reprobed = report.clone();
-        reprobed.decode_bytes += 1;
-        let err = check_against(&reprobed, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("decode_bytes"), "{err}");
-
-        // Proposer gates: the message cut, the coalesce ratio, the p99
-        // comparison and byte-identity are all judged on the current run.
-        let mut chatty = report.clone();
-        chatty.proposer_reduction_pct = 12.0;
-        let err = check_against(&chatty, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("proposer_cut"), "{err}");
-        let mut uncoalesced = report.clone();
-        uncoalesced.proposer_coalesce_ratio = 1.0;
-        let err = check_against(&uncoalesced, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("proposer_merge"), "{err}");
-        let mut laggy = report.clone();
-        laggy.proposer_write_p99_us = report.proposer_per_write_p99_us + 1;
-        let err = check_against(&laggy, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("proposer_p99"), "{err}");
-        let mut prop_split = report.clone();
-        prop_split.proposer_byte_identical = false;
-        let err = check_against(&prop_split, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("proposer_ident"), "{err}");
-        // The deterministic message counts are exact against /7 baselines.
-        let mut remessaged = report.clone();
-        remessaged.proposer_messages += 1;
-        remessaged.proposer_reduction_pct = 88.4;
-        let err = check_against(&remessaged, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("proposer_messages"), "{err}");
-    }
-
-    #[test]
-    fn proposer_gates_hold_against_pre_7_baselines() {
-        let report = sample_report();
-        // Strip the proposer block: a pre-/7 baseline. The exact message
-        // and quantile rows go informational, but every current-run gate
-        // still bites.
-        let mut legacy = report.to_json();
-        let start = legacy.find("  \"proposer\": {").unwrap();
-        let end = start + legacy[start..].find("},\n").unwrap() + "},\n".len();
-        legacy.replace_range(start..end, "");
-        assert_eq!(json_number(&legacy, "proposer_messages"), None);
-        let table = check_against(&report, &legacy, 0.15).expect("pre-/7 baselines must pass");
-        assert!(table.contains("informational: baseline pre-/7"), "{table}");
-
-        let mut chatty = report.clone();
-        chatty.proposer_reduction_pct = 29.9;
-        let err = check_against(&chatty, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("proposer_cut"), "{err}");
-        let mut uncoalesced = report.clone();
-        uncoalesced.proposer_coalesce_ratio = 0.99;
-        let err = check_against(&uncoalesced, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("proposer_merge"), "{err}");
-        let mut prop_split = report.clone();
-        prop_split.proposer_byte_identical = false;
-        let err = check_against(&prop_split, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("proposer_ident"), "{err}");
-    }
-
-    #[test]
-    fn alloc_gates_hold_against_pre_5_baselines() {
-        let report = sample_report();
-        // Strip the alloc_stats block: a pre-/5 baseline. The exact decode
-        // rows go informational, but both current-run gates still bite.
-        let mut legacy = report.to_json();
-        let start = legacy.find("  \"alloc_stats\": {").unwrap();
-        let end = start + legacy[start..].find("},\n").unwrap() + "},\n".len();
-        legacy.replace_range(start..end, "");
-        assert_eq!(json_number(&legacy, "decode_messages"), None);
-        let table = check_against(&report, &legacy, 0.15).expect("pre-/5 baselines must pass");
-        assert!(table.contains("informational: baseline pre-/5"), "{table}");
-
-        let mut leaky = report.clone();
-        leaky.events_recycled_pct = 94.9;
-        let err = check_against(&leaky, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("alloc_recycle"), "{err}");
-        let mut copying = report.clone();
-        copying.decode_copies += 1;
-        let err = check_against(&copying, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("decode_copies"), "{err}");
-    }
-
-    #[test]
-    fn serve_gates_hold_against_pre_6_baselines() {
-        let report = sample_report();
-        // Strip the serve block: a pre-/6 baseline. The exact workload
-        // rows and the timing rows go informational, but the dropped- and
-        // stale-connection gates still judge the current run.
-        let mut legacy = report.to_json();
-        let start = legacy.find("  \"serve\": {").unwrap();
-        let end = start + legacy[start..].find("},\n").unwrap() + "},\n".len();
-        legacy.replace_range(start..end, "");
-        assert_eq!(json_number(&legacy, "serve_connections"), None);
-        let table = check_against(&report, &legacy, 0.15).expect("pre-/6 baselines must pass");
-        assert!(table.contains("informational: baseline pre-/6"), "{table}");
-
-        let mut droppy = report.clone();
-        droppy.serve_dropped = 3;
-        let err = check_against(&droppy, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("serve_dropped"), "{err}");
-        let mut stale = report.clone();
-        stale.serve_stale = 1;
-        let err = check_against(&stale, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("serve_stale"), "{err}");
-
-        // Against a /6 baseline the workload shape is exact and the tail
-        // is a same-host timing gate.
-        let full = report.to_json();
-        let mut reshaped = report.clone();
-        reshaped.serve_connections += 1;
-        let err = check_against(&reshaped, &full, 0.15).unwrap_err();
-        assert!(err.contains("serve_connections"), "{err}");
-        let mut slower = report.clone();
-        slower.serve_p99_us = report.serve_p99_us * 10 + 200_000;
-        let err = check_against(&slower, &full, 0.15).unwrap_err();
-        assert!(err.contains("serve_p99_us"), "{err}");
-    }
-
-    #[test]
     fn grid_tail_keys_are_unique() {
         // Six experiments, five trace names: the SDSC lifetime variants
         // must come out labelled apart, or the tails rows collide.
         let labels = grid_trace_labels();
-        assert_eq!(labels.len(), 6);
         let distinct: std::collections::BTreeSet<_> = labels.iter().collect();
         assert_eq!(distinct.len(), 6, "{labels:?}");
         assert!(labels.contains(&"SDSC(57)".to_string()), "{labels:?}");
         assert!(labels.contains(&"SDSC(576)".to_string()), "{labels:?}");
-    }
-
-    #[test]
-    fn family_gates_hold_against_legacy_and_foreign_baselines() {
-        let report = sample_report();
-
-        // A pre-/4 baseline (no family block at all) leaves the exact and
-        // timing family rows informational...
-        let mut legacy = report.to_json();
-        let start = legacy.find("  \"family\": {").unwrap();
-        let end = start + legacy[start..].find("},\n").unwrap() + "},\n".len();
-        legacy.replace_range(start..end, "");
-        assert_eq!(json_number(&legacy, "family_origins"), None);
-        let table =
-            check_against(&report, &legacy, 0.15).expect("pre-/4 baselines must still pass");
-        assert!(table.contains("informational: baseline pre-/4"), "{table}");
-
-        // ...but byte-identity and the 30% reduction stay mandatory.
-        let mut fam_split = report.clone();
-        fam_split.family_byte_identical = false;
-        let err = check_against(&fam_split, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("family_ident"), "{err}");
-        let mut regressed = report.clone();
-        regressed.family_memory_reduction_pct = 29.9;
-        let err = check_against(&regressed, &legacy, 0.15).unwrap_err();
-        assert!(err.contains("family_mem_cut"), "{err}");
-
-        // Foreign-host baselines skip family_wall_ms like every timing
-        // field, while the reduction gate still bites.
-        let mut foreign = report.clone();
-        foreign.host_fingerprint = "arm64/linux/4c/other-cpu".to_string();
-        let mut slow = report.clone();
-        slow.family_wall_ms = report.family_wall_ms * 30;
-        check_against(&slow, &foreign.to_json(), 0.15)
-            .expect("foreign-host family timing must be informational");
-        let err = check_against(&regressed, &foreign.to_json(), 0.15).unwrap_err();
-        assert!(err.contains("family_mem_cut"), "{err}");
-    }
-
-    #[test]
-    fn json_string_reads_the_fingerprint() {
-        let json = sample_report().to_json();
-        assert_eq!(
-            json_string(&json, "host_fingerprint").as_deref(),
-            Some("x86_64/linux/8c/sample-cpu")
-        );
-        assert_eq!(json_string(&json, "scale"), None); // a number, not a string
-        assert_eq!(json_string(&json, "no_such_key"), None);
     }
 
     #[test]
@@ -1887,159 +1305,5 @@ mod tests {
         // and nothing that would need JSON escaping.
         assert!(fp.matches('/').count() >= 3, "{fp}");
         assert!(!fp.contains('"') && !fp.contains('\\'), "{fp}");
-    }
-
-    #[test]
-    fn foreign_host_baselines_skip_timing_gates_but_not_identity() {
-        let report = sample_report();
-        let mut foreign = report.clone();
-        foreign.host_fingerprint = "arm64/linux/4c/other-cpu".to_string();
-        let baseline = foreign.to_json();
-
-        // A 3x timing regression against a foreign-host baseline passes —
-        // wall-clock numbers from other hardware are not comparable — and
-        // the skip is logged in the table.
-        let mut slow = report.clone();
-        slow.grid_sequential_ms = report.grid_sequential_ms * 3;
-        slow.inner_wall_ms = report.inner_wall_ms * 3;
-        slow.sharded_speedup = 0.4;
-        let table = check_against(&slow, &baseline, 0.15)
-            .expect("foreign-host timing must be informational");
-        assert!(table.contains("host fingerprint"), "{table}");
-        assert!(table.contains("informational: different host"), "{table}");
-
-        // Determinism violations still fail regardless of the host.
-        let mut split = report.clone();
-        split.byte_identical = false;
-        let err = check_against(&split, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("byte_identical"), "{err}");
-        let mut drift = report.clone();
-        drift.tails[0].p50_us += 1;
-        let err = check_against(&drift, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("latency_tails"), "{err}");
-
-        // A baseline with no fingerprint at all (pre-/3 schema) is treated
-        // as foreign: timing informational, identity enforced.
-        let legacy = baseline.replace(
-            "  \"host_fingerprint\": \"arm64/linux/4c/other-cpu\",\n",
-            "",
-        );
-        assert!(json_string(&legacy, "host_fingerprint").is_none());
-        check_against(&slow, &legacy, 0.15).expect("legacy baselines skip timing gates");
-    }
-
-    #[test]
-    fn shard_gates_follow_host_shape() {
-        // The 8-core sample at full scale gates the ≥1.5× speedup.
-        let report = sample_report();
-        let baseline = report.to_json();
-        let mut slow = report.clone();
-        slow.sharded_speedup = 1.2;
-        let err = check_against(&slow, &baseline, 0.15).unwrap_err();
-        assert!(err.contains("sharded_speedup"), "{err}");
-
-        // On one core the speedup is informational, but a sharded pass
-        // costing more than 3× (plus grace) over sequential fails.
-        let mut single = report.clone();
-        single.host_cores = 1;
-        single.sharded_grid_ms = single.grid_sequential_ms * 4;
-        single.sharded_speedup = 0.25;
-        let single_baseline = single.to_json();
-        let err = check_against(&single, &single_baseline, 0.15).unwrap_err();
-        assert!(err.contains("shard_overhead"), "{err}");
-
-        // ... while an overhead inside the ceiling passes.
-        let mut ok = report.clone();
-        ok.host_cores = 1;
-        ok.sharded_grid_ms = ok.grid_sequential_ms * 2;
-        ok.sharded_speedup = 0.5;
-        let ok_baseline = ok.to_json();
-        check_against(&ok, &ok_baseline, 0.15).expect("2x overhead is inside the 1-core ceiling");
-
-        // Reduced-scale multi-core runs never gate the speedup.
-        let mut reduced = report.clone();
-        reduced.scale = 20;
-        reduced.sharded_speedup = 0.8;
-        let reduced_baseline = reduced.to_json();
-        check_against(&reduced, &reduced_baseline, 0.15)
-            .expect("reduced-scale speedup is informational");
-    }
-
-    fn sample_report() -> TrajectoryReport {
-        TrajectoryReport {
-            scale: 1,
-            jobs: 4,
-            host_cores: 8,
-            host_fingerprint: "x86_64/linux/8c/sample-cpu".to_string(),
-            grid_configs: 18,
-            grid_sequential_ms: 2000,
-            grid_parallel_ms: 800,
-            speedup: 2.5,
-            byte_identical: true,
-            shards: 2,
-            sharded_grid_ms: 1250,
-            sharded_speedup: 1.6,
-            sharded_byte_identical: true,
-            inner_requests: 40_658,
-            inner_wall_ms: 150,
-            inner_requests_per_sec: 271_053,
-            events_allocated: 250_000,
-            events_recycled: 249_000,
-            events_recycled_pct: 99.6,
-            events_peak_live: 120,
-            decode_messages: 81_316,
-            decode_bytes: 9_500_000,
-            decode_borrows: 80_000,
-            decode_copies: 1_316,
-            decode_retained: 1_316,
-            family_name: "flash-crowd",
-            family_origins: 64,
-            family_clients: 120_000,
-            family_requests: 160_000,
-            family_shards: 8,
-            family_wall_ms: 900,
-            family_requests_per_sec: 355_555,
-            family_byte_identical: true,
-            family_state_bytes: 7_700_000,
-            family_legacy_state_bytes: 12_200_000,
-            family_memory_reduction_pct: 36.9,
-            family_peak_rss_kb: 250_000,
-            serve_connections: 2048,
-            serve_requests: 16_384,
-            serve_dropped: 0,
-            serve_stale: 0,
-            serve_p50_us: 9_000,
-            serve_p90_us: 18_000,
-            serve_p99_us: 32_000,
-            serve_p999_us: 40_000,
-            serve_wall_ms: 4_200,
-            serve_requests_per_sec: 3_900,
-            proposer_batch_entries: 8,
-            proposer_messages: 109,
-            proposer_per_write_messages: 946,
-            proposer_reduction_pct: 88.5,
-            proposer_coalesce_ratio: 1.029,
-            proposer_write_p50_us: 15_359,
-            proposer_write_p99_us: 64_096,
-            proposer_per_write_p99_us: 125_600,
-            proposer_byte_identical: true,
-            proposer_wall_ms: 700,
-            tails: vec![
-                TailEntry {
-                    trace: "EPA".to_string(),
-                    protocol: "adaptive-ttl",
-                    p50_us: 1_000,
-                    p90_us: 2_000,
-                    p99_us: 150_000,
-                },
-                TailEntry {
-                    trace: "EPA".to_string(),
-                    protocol: "invalidation",
-                    p50_us: 1_100,
-                    p90_us: 2_200,
-                    p99_us: 140_000,
-                },
-            ],
-        }
     }
 }

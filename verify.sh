@@ -8,12 +8,11 @@
 #                (CI also repeats the test job on beta)
 #   serve job -> `wcc serve --self-check` + a reduced `wcc bench serve`
 #                (CI runs 1000 connections and gates the JSON report)
-#   bench job -> trajectory run + the bench-regression gate, which compares
-#                against ci/bench-baseline.json: deterministic fields exact,
-#                wall-clock timings within ±15% (plus 100 ms grace)
-# The gate itself is CI-only — local hardware differs too much for the
-# timing comparison to be meaningful — but the trajectory smoke run below
-# still proves the harness and its byte-identity check work.
+#   bench job -> trajectory run + the bench-regression gate against
+#                ci/bench-baseline.json; every gate is a row of the TABLE in
+#                crates/bench/src/trajectory.rs
+# The baseline comparison is CI-only, but the trajectory smoke run below
+# still runs every gate that judges the run alone.
 set -eu
 
 cd "$(dirname "$0")"
@@ -72,8 +71,8 @@ echo "==> wcc bench serve (smoke)"
 timeout 120 ./target/release/wcc bench serve --connections 64 --requests 8 --in-process >/dev/null
 
 echo "==> bench trajectory (smoke)"
-# Exits non-zero if the fanned-out or sharded grid diverges from the
-# sequential run.
+# Exits non-zero if a gate that judges the run alone fails (byte-identity,
+# dropped or stale serves, the memory, recycle, decode and proposer bounds).
 ./target/release/trajectory --scale 100 --shards 2 --out /tmp/BENCH_replay.smoke.json
 
 echo "verify: OK"
