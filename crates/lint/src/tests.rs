@@ -381,6 +381,41 @@ fn handle(msg: HttpMsg) {
 }
 
 #[test]
+fn zero_copy_dispatch_missing_a_variant_is_flagged() {
+    let borrowed = "\
+pub enum HttpMsgRef<'buf> {
+    Get(GetRequest),
+    Reply(ReplyRef<'buf>),
+    InvalidateBatch(InvalidateBatchRef<'buf>),
+    Hello { partition: u32 },
+}
+";
+    let handler = "\
+fn dispatch(msg: &HttpMsgRef<'_>) -> After {
+    match msg {
+        HttpMsgRef::Get(get) if serves(get) => After::Keep,
+        HttpMsgRef::Hello { .. } => After::Keep,
+        HttpMsgRef::Get(_) | HttpMsgRef::Reply(_) => After::Close,
+        _ => After::Close,
+    }
+}
+";
+    let files = vec![
+        ("crates/proto/src/zero.rs".to_string(), borrowed.to_string()),
+        ("crates/net/src/parent.rs".to_string(), handler.to_string()),
+    ];
+    let d = scan_files(&files);
+    assert_eq!(d.len(), 1, "diagnostics: {d:?}");
+    assert_eq!(d[0].rule, "wire-exhaustiveness");
+    assert_eq!(
+        (d[0].path.as_str(), d[0].line),
+        ("crates/net/src/parent.rs", 2)
+    );
+    assert!(d[0].message.contains("HttpMsgRef"));
+    assert!(d[0].message.contains("InvalidateBatch"));
+}
+
+#[test]
 fn total_dispatch_passes_even_with_a_guard_catchall() {
     let handler = "\
 fn handle(msg: HttpMsg) {

@@ -1,7 +1,8 @@
-//! **wire-exhaustiveness**: the wire enums (`HttpMsg`, `AuditEvent`) are
-//! the protocol's whole vocabulary; a handler that dispatches on them must
-//! name every variant, or a message added for a new protocol (ROADMAP
-//! item 3) compiles straight into a silent `_ =>` arm and is half-wired.
+//! **wire-exhaustiveness**: the wire enums (`HttpMsg`, its zero-copy twin
+//! `HttpMsgRef`, `AuditEvent`) are the protocol's whole vocabulary; a
+//! handler that dispatches on them must name every variant, or a message
+//! added for a new protocol (ROADMAP item 3) compiles straight into a
+//! silent `_ =>` arm and is half-wired.
 //!
 //! The rule parses the enum declarations wherever they live, then checks
 //! every `match` in the encoder/decoder/handler crates that *dispatches*
@@ -19,7 +20,7 @@ use crate::Diagnostic;
 pub(crate) const RULE: &str = "wire-exhaustiveness";
 
 /// The enums whose dispatch must be total.
-const WIRE_ENUMS: &[&str] = &["HttpMsg", "AuditEvent"];
+const WIRE_ENUMS: &[&str] = &["HttpMsg", "HttpMsgRef", "AuditEvent"];
 
 /// Where dispatch sites are checked: the wire codec, the simulated and
 /// real node handlers, the auditor, and the enum-owning crate itself.

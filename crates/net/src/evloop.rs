@@ -6,13 +6,16 @@
 //! in place via `wcc_proto::zero::decode_frame` — the zero-copy path) and
 //! a send buffer that absorbs partial writes. Write interest is armed
 //! only while output is queued, so an idle keep-alive connection costs
-//! one registered fd and two empty buffers.
+//! one registered fd and two empty buffers. [`drive`] is every node's
+//! read/decode/dispatch loop; the node supplies only the per-frame
+//! dispatcher.
 //!
 //! This file is on the hot-loop allocation lint list: everything here
 //! runs once per readiness event at 10k-connection scale.
 
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use wcc_proto::{decode_frame, encode, HttpMsg, HttpMsgRef, WireError};
 use wcc_reactor::{Interest, Poller, RecvBuf, SendBuf};
 
 /// Token of the node's primary listener.
@@ -190,16 +193,94 @@ impl<T> Conns<T> {
         }
     }
 
-    /// Collects every live token into `out` (cleared first); used by
-    /// shutdown and broadcast paths, which are not per-event hot.
-    pub fn live_tokens(&self, out: &mut Vec<u64>) {
-        out.clear();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if slot.is_some() {
-                out.push(token_of(idx, self.gens[idx]));
+    /// Queues each `(token, message)` onto its connection and flushes it,
+    /// in order. Messages addressed to a connection closed meanwhile are
+    /// dropped. Returns how many `INVALIDATE`s reached a live connection.
+    pub fn deliver(&mut self, poller: &mut Poller, outbox: &mut Vec<(u64, HttpMsg)>) -> u64 {
+        let mut invalidations = 0;
+        for (tok, msg) in outbox.drain(..) {
+            let Some(conn) = self.get_mut(tok) else {
+                continue;
+            };
+            conn.sbuf.push_bytes(&encode(&msg));
+            invalidations += u64::from(matches!(msg, HttpMsg::Invalidate { .. }));
+            self.flush(poller, tok);
+        }
+        invalidations
+    }
+
+    /// Shutdown: flushes whatever is queued, then closes every connection.
+    pub fn close_all(&mut self, poller: &mut Poller) {
+        let live: Vec<u64> = (0..self.slots.len())
+            .filter(|&idx| self.slots[idx].is_some())
+            .map(|idx| token_of(idx, self.gens[idx]))
+            .collect();
+        for tok in live {
+            self.flush(poller, tok);
+            self.close(poller, tok);
+        }
+    }
+}
+
+/// What a dispatcher wants done with its connection after one frame.
+pub(crate) enum After {
+    /// Go on to the next frame.
+    Keep,
+    /// Stop reading; close once the queued reply has flushed.
+    CloseAfterFlush,
+    /// Protocol violation: close now.
+    Close,
+}
+
+/// Reads everything available on `token`, then decodes every complete
+/// frame in place and hands it, with the connection's send buffer and
+/// tag, to `dispatch`. Returns `false` once the connection is closed or
+/// closing: a read or wire error, peer EOF, or [`After::Close`].
+pub(crate) fn drive<T>(
+    poller: &mut Poller,
+    conns: &mut Conns<T>,
+    token: u64,
+    mut dispatch: impl FnMut(&HttpMsgRef<'_>, &mut SendBuf, &mut T) -> After,
+) -> bool {
+    let Some(conn) = conns.get_mut(token) else {
+        return false;
+    };
+    if conn.read_ready().is_err() {
+        conns.close(poller, token);
+        return false;
+    }
+    loop {
+        let Some(conn) = conns.get_mut(token) else {
+            return false;
+        };
+        let after = match decode_frame(conn.rbuf.data(), conn.eof) {
+            Ok(None) => break, // mid-frame; more bytes may arrive
+            Ok(Some((msg, used))) => {
+                let after = dispatch(&msg, &mut conn.sbuf, &mut conn.tag);
+                conn.rbuf.consume(used);
+                after
+            }
+            Err(WireError::Closed) if !conn.sbuf.is_empty() => {
+                // Clean EOF between frames: deliver queued output first.
+                conn.close_after_flush = true;
+                conns.flush(poller, token);
+                return false;
+            }
+            Err(_) => After::Close,
+        };
+        match after {
+            After::Keep => {}
+            After::CloseAfterFlush => {
+                conn.close_after_flush = true;
+                break;
+            }
+            After::Close => {
+                conns.close(poller, token);
+                return false;
             }
         }
     }
+    conns.flush(poller, token)
 }
 
 /// Accepts every pending connection on a non-blocking listener.

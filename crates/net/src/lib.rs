@@ -12,9 +12,15 @@
 //!   paper's §7 remark);
 //! * [`NetProxy`] — a caching proxy with a blocking [`NetProxy::fetch`] API
 //!   for browsers (tests and examples) to call;
-//! * [`NetParent`] — the hierarchy's parent tier: children connect to it as
-//!   if it were an origin, and it proxies misses upstream;
+//! * [`NetParent`] — the hierarchy's parent tier: the proxy runtime plus a
+//!   child site list. Children connect to it as if it were an origin; it
+//!   fetches misses through its own cache and relays every upstream
+//!   invalidation to the children holding copies;
 //! * [`check_in`] — the modifier's check-in utility.
+//!
+//! Every node runs one readiness reactor over the shared connection slab and
+//! frame loop in `evloop`; the origin drives the batched invalidation
+//! proposer [`wcc_core::Proposer`], the same one the simulator uses.
 //!
 //! Logical (trace) time is supplied by the caller on every operation, so
 //! tests are deterministic; the sockets provide real concurrency, real

@@ -22,20 +22,16 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wcc_core::{ProtocolConfig, ServerConsistency, SiteListStats};
+use wcc_core::{Proposer, ProtocolConfig, ServerConsistency, SiteListStats};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::msg::sizes::INVALIDATE_SIZE;
-use wcc_proto::{
-    decode_frame, encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus,
-    WireError,
-};
+use wcc_proto::{encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_reactor::{Poller, WakeHandle, Waker};
 use wcc_types::{
     Body, ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
     WallClock,
 };
 
-use crate::evloop::{accept_all, Conn, Conns, TOK_LISTENER, TOK_WAKER};
+use crate::evloop::{accept_all, drive, After, Conns, TOK_LISTENER, TOK_WAKER};
 
 /// Configuration for [`NetOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -93,13 +89,10 @@ struct Protected {
     counters: OriginSnapshot,
     /// Wall-time GET service latency (decode to reply built).
     serve_latency: Histogram,
-    /// Batched proposer accumulator: pending stale copies, coalesced per
-    /// document. Always empty when `inval_batch` is `None`.
-    pending_inval: BTreeMap<Url, BTreeSet<ClientId>>,
-    /// Entry count of `pending_inval` (kept incrementally).
-    pending_entries: u64,
-    /// Armed when the accumulator went empty → non-empty; drives the age
-    /// threshold.
+    /// The batched invalidation proposer; `None` keeps per-write fan-out.
+    proposer: Option<Proposer>,
+    /// Armed when the proposer's queue went empty → non-empty; drives the
+    /// wall-clock age threshold.
     pending_since: Option<WallClock>,
     /// Entries per flushed `InvalidateBatch` round.
     batch_sizes: Histogram,
@@ -117,7 +110,6 @@ struct State {
     doc_sizes: Vec<ByteSize>,
     /// Reloadable via [`NetOrigin::set_doc_scale`] (SIGHUP config reload).
     doc_scale: AtomicU32,
-    inval_batch: Option<InvalBatchConfig>,
     protected: Mutex<Protected>,
     shutdown: AtomicBool,
 }
@@ -173,70 +165,51 @@ impl State {
         p.versions[doc] = p.versions[doc].max(at);
         let recipients = p.consistency.on_modify(url, at);
         p.counters.invalidations += recipients.len() as u64;
-        let Some(cfg) = self.inval_batch else {
+        let Some(proposer) = p.proposer.as_mut() else {
             return Fanout::PerWrite(recipients);
         };
-        if !recipients.is_empty() && p.pending_since.is_none() {
+        let mut opened = false;
+        for client in recipients {
+            opened |= proposer.enqueue(url, client);
+        }
+        let flush = proposer.should_flush();
+        if opened {
             p.pending_since = Some(WallClock::start());
         }
-        let mut fresh = 0u64;
-        {
-            let Protected {
-                pending_inval,
-                counters,
-                ..
-            } = &mut *p;
-            for client in recipients {
-                if pending_inval.entry(url).or_default().insert(client) {
-                    fresh += 1;
-                } else {
-                    counters.coalesced_invalidations += 1;
-                }
-            }
-        }
-        p.pending_entries += fresh;
-        // Byte threshold is what a per-write fan-out of the queue would
-        // have cost — the same accounting the simulator's proposer uses.
-        let bytes = p.pending_entries * INVALIDATE_SIZE;
-        let flush = p.pending_entries >= cfg.max_entries as u64 || bytes >= cfg.max_bytes.as_u64();
         Fanout::Queued { flush }
     }
 
-    /// Drains the proposer accumulator into one sorted entry list per
-    /// proxy partition, recording the per-round stats.
-    fn drain_pending(&self, partitions: u32) -> Vec<(u32, Vec<BatchEntry>)> {
-        let mut p = self.protected.lock();
-        if p.pending_entries == 0 {
-            return Vec::new();
-        }
-        let pending = std::mem::take(&mut p.pending_inval);
-        p.counters.batched_entries += p.pending_entries;
-        p.pending_entries = 0;
-        p.pending_since = None;
-        let partitions = partitions.max(1);
+    /// Drains the proposer into one entry list per proxy partition, in
+    /// `(url, client)` order, recording the per-round stats.
+    fn drain_pending(&self, partitions: u32) -> BTreeMap<u32, Vec<BatchEntry>> {
         let mut per: BTreeMap<u32, Vec<BatchEntry>> = BTreeMap::new();
-        for (url, clients) in pending {
+        let mut p = self.protected.lock();
+        let Some(proposer) = p.proposer.as_mut().filter(|q| !q.is_empty()) else {
+            return per;
+        };
+        for (url, clients) in proposer.drain() {
             for client in clients {
-                per.entry(client.partition(partitions))
+                per.entry(client.partition(partitions.max(1)))
                     .or_default()
                     .push(BatchEntry { url, client });
             }
         }
-        let mut out = Vec::with_capacity(per.len());
-        for (partition, entries) in per {
-            p.counters.inval_batches += 1;
-            p.batch_sizes.record(entries.len() as u64);
-            out.push((partition, entries));
+        for entries in per.values() {
+            proposer.note_batch(entries.len());
         }
-        out
+        p.pending_since = None;
+        for entries in per.values() {
+            p.batch_sizes.record(entries.len() as u64);
+        }
+        per
     }
 
     /// Time until the oldest pending entry hits the age threshold:
     /// `Some(ZERO)` when a flush is overdue, `None` when nothing is
     /// pending (or batching is off).
     fn batch_age_left(&self) -> Option<Duration> {
-        let cfg = self.inval_batch?;
         let p = self.protected.lock();
+        let cfg = p.proposer.as_ref()?.config();
         let elapsed = p.pending_since.as_ref()?.elapsed();
         if elapsed >= cfg.max_age {
             Some(Duration::ZERO)
@@ -257,11 +230,24 @@ impl State {
         !p.recovering || (!p.recovery_acked.is_empty() && p.recovery_pending.is_empty())
     }
 
+    /// The counters with the proposer's and the site list's figures filled in.
+    fn snapshot(p: &Protected) -> OriginSnapshot {
+        let mut snap = p.counters.clone();
+        if let Some(stats) = p.proposer.as_ref().map(Proposer::stats) {
+            snap.inval_batches = stats.batches;
+            snap.batched_entries = stats.flushed_entries;
+            snap.coalesced_invalidations = stats.coalesced;
+        }
+        snap.writes_complete = p.consistency.writes_complete();
+        snap.sitelist = p.consistency.table().stats();
+        snap
+    }
+
     /// Renders the node's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let p = self.protected.lock();
         let node = [("node", "origin")];
-        let c = &p.counters;
+        let c = &Self::snapshot(&p);
         let mut r = Registry::default();
         r.set_counter(
             "wcc_gets_total",
@@ -323,7 +309,7 @@ impl State {
             &node,
             c.notifies,
         );
-        let stats = p.consistency.table().stats();
+        let stats = c.sitelist;
         r.set_gauge(
             "wcc_sitelist_entries",
             "Live site-list entries (granted leases / registrations).",
@@ -352,7 +338,7 @@ impl State {
             "wcc_writes_complete",
             "1 when every invalidation has been acknowledged.",
             &node,
-            u64::from(p.consistency.writes_complete()),
+            u64::from(c.writes_complete),
         );
         r.set_gauge(
             "wcc_recovery_complete",
@@ -364,7 +350,7 @@ impl State {
             "wcc_inval_pending_queue",
             "Coalesced (document, client) entries waiting in the proposer.",
             &node,
-            p.pending_entries,
+            p.proposer.as_ref().map_or(0, |q| q.entries() as u64),
         );
         r.set_histogram(
             "wcc_serve_latency_seconds",
@@ -429,14 +415,12 @@ impl NetOrigin {
             server: config.server,
             doc_sizes: config.doc_sizes,
             doc_scale: AtomicU32::new(u32::try_from(config.doc_scale.max(1)).unwrap_or(u32::MAX)),
-            inval_batch: config.inval_batch,
             protected: Mutex::new(Protected {
                 consistency: ServerConsistency::new(&config.protocol, config.server),
                 versions: vec![SimTime::ZERO; n],
                 counters: OriginSnapshot::default(),
                 serve_latency: Histogram::default(),
-                pending_inval: BTreeMap::new(),
-                pending_entries: 0,
+                proposer: config.inval_batch.map(Proposer::new),
                 pending_since: None,
                 batch_sizes: Histogram::default(),
                 recovering,
@@ -485,11 +469,7 @@ impl NetOrigin {
 
     /// A copy of the current counters and site-list stats.
     pub fn snapshot(&self) -> OriginSnapshot {
-        let p = self.state.protected.lock();
-        let mut snap = p.counters.clone();
-        snap.writes_complete = p.consistency.writes_complete();
-        snap.sitelist = p.consistency.table().stats();
-        snap
+        State::snapshot(&self.state.protected.lock())
     }
 
     /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
@@ -558,13 +538,6 @@ struct OTag {
     partition: Option<u32>,
 }
 
-/// What the dispatcher wants done with the connection afterwards.
-enum After {
-    Keep,
-    CloseAfterFlush,
-    Close,
-}
-
 /// The origin's whole serving tier: one loop, every connection.
 fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, waker: &Waker) {
     let mut conns: Conns<OTag> = Conns::with_capacity(64);
@@ -576,7 +549,6 @@ fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, 
     // use the same modulus the proxies used when sharding clients.
     let mut total_partitions: u32 = 1;
     let mut outbox: Vec<(u64, HttpMsg)> = Vec::with_capacity(64);
-    let mut scratch: Vec<u64> = Vec::with_capacity(64);
     let mut dropped: u64 = 0;
 
     loop {
@@ -606,7 +578,7 @@ fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, 
             // Age flush: the oldest pending entry has waited max_age, so
             // the round goes out even though no count threshold tripped.
             flush_batches(state, &channels, total_partitions, &mut outbox);
-            deliver_outbox(&mut outbox, &mut conns, &mut poller);
+            conns.deliver(&mut poller, &mut outbox);
         }
         if events.is_empty() && retry_recovery {
             // Retry tick: re-send the bulk invalidation to every pending
@@ -625,7 +597,7 @@ fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, 
                     ));
                 }
             }
-            deliver_outbox(&mut outbox, &mut conns, &mut poller);
+            conns.deliver(&mut poller, &mut outbox);
             continue;
         }
         for ev in events.iter().copied() {
@@ -645,28 +617,25 @@ fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, 
                         conns.flush(&mut poller, tok);
                     }
                     if ev.readable || ev.error {
-                        drive_conn(
-                            state,
-                            &mut poller,
-                            &mut conns,
-                            &mut channels,
-                            &mut total_partitions,
-                            &mut outbox,
-                            tok,
-                        );
+                        drive(&mut poller, &mut conns, tok, |msg, sbuf, tag| {
+                            dispatch(
+                                state,
+                                sbuf,
+                                tag,
+                                &mut channels,
+                                &mut total_partitions,
+                                &mut outbox,
+                                tok,
+                                msg,
+                            )
+                        });
                     }
                 }
             }
         }
-        deliver_outbox(&mut outbox, &mut conns, &mut poller);
+        conns.deliver(&mut poller, &mut outbox);
     }
-
-    // Shutdown: flush whatever is queued, then drop every connection.
-    conns.live_tokens(&mut scratch);
-    for tok in scratch.drain(..) {
-        conns.flush(&mut poller, tok);
-        conns.close(&mut poller, tok);
-    }
+    conns.close_all(&mut poller);
 }
 
 /// Drains the proposer accumulator into one `InvalidateBatch` per proxy
@@ -691,93 +660,6 @@ fn flush_batches(
             ));
         }
     }
-}
-
-/// Queues `outbox` frames into their target connections and flushes.
-fn deliver_outbox(outbox: &mut Vec<(u64, HttpMsg)>, conns: &mut Conns<OTag>, poller: &mut Poller) {
-    for (tok, msg) in outbox.drain(..) {
-        if let Some(conn) = conns.get_mut(tok) {
-            conn.sbuf.push_bytes(&encode(&msg));
-        }
-        conns.flush(poller, tok);
-    }
-}
-
-/// Reads and dispatches every complete frame on one connection.
-fn drive_conn(
-    state: &Arc<State>,
-    poller: &mut Poller,
-    conns: &mut Conns<OTag>,
-    channels: &mut HashMap<u32, u64>,
-    total_partitions: &mut u32,
-    outbox: &mut Vec<(u64, HttpMsg)>,
-    token: u64,
-) {
-    {
-        let Some(conn) = conns.get_mut(token) else {
-            return;
-        };
-        if conn.read_ready().is_err() {
-            conns.close(poller, token);
-            return;
-        }
-    }
-    loop {
-        let Some(conn) = conns.get_mut(token) else {
-            return;
-        };
-        let Conn {
-            rbuf,
-            sbuf,
-            tag,
-            eof,
-            close_after_flush,
-            ..
-        } = conn;
-        let step = match decode_frame(rbuf.data(), *eof) {
-            Ok(None) => break, // mid-frame; more bytes may arrive
-            Err(WireError::Closed) => {
-                // Clean EOF between frames: deliver queued output first.
-                if sbuf.is_empty() {
-                    conns.close(poller, token);
-                } else {
-                    *close_after_flush = true;
-                    conns.flush(poller, token);
-                }
-                return;
-            }
-            Err(_) => {
-                conns.close(poller, token);
-                return;
-            }
-            Ok(Some((msg, used))) => {
-                let after = dispatch(
-                    state,
-                    sbuf,
-                    tag,
-                    channels,
-                    total_partitions,
-                    outbox,
-                    token,
-                    &msg,
-                );
-                rbuf.consume(used);
-                after
-            }
-        };
-        match step {
-            After::Keep => {}
-            After::CloseAfterFlush => {
-                *close_after_flush = true;
-                break;
-            }
-            After::Close => {
-                conns.close(poller, token);
-                return;
-            }
-        }
-    }
-    conns.flush(poller, token);
 }
 
 /// Handles one decoded message; replies go into `sbuf`, pushes to other

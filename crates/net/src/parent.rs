@@ -1,45 +1,43 @@
-//! The TCP parent-tier proxy, served by a readiness reactor.
+//! The TCP parent tier: the proxy runtime plus a child site list.
 //!
 //! Children connect to the parent exactly as proxies connect to an origin
 //! (keep-alive `GET` connections plus a persistent `HELLO` push channel);
-//! the parent in turn is a client of the real origin, reusing a bounded
-//! pool of upstream connections. One reactor thread owns the child-facing
-//! listener and the upstream invalidation channel; child `GET`s are
-//! answered by a small worker pool running the same locked fetch path as
-//! before, replies delivered in pipeline order.
+//! the parent in turn is a client of the real origin under one identity,
+//! so the origin tracks a single site for the whole subtree. Everything
+//! else — the reactor, the worker pool, pipeline-ordered replies, the
+//! upstream channel and its re-registration, the fetch-through path and
+//! the upstream invalidation handlers — is the proxy's runtime
+//! ([`crate::proxy`]). What a parent adds lives here: a
+//! [`ServerConsistency`] over its children that grants their leases,
+//! takes their acks, and names the children each upstream invalidation is
+//! relayed to.
 //!
-//! Concurrency note: one state lock serialises child requests against the
-//! upstream invalidation channel, which incidentally *prevents* the
-//! invalidation-overtakes-reply race that the simulator's parent must
-//! handle with a poison flag — an `INVALIDATE` is processed either before
-//! an upstream fetch starts or after its result is cached, never between.
+//! Concurrency note: the child site list sits under the proxy's tier lock,
+//! which is held across the upstream round trip. That incidentally
+//! *prevents* the invalidation-overtakes-reply race that the simulator's
+//! parent must handle with a poison flag — an `INVALIDATE` is processed
+//! either before an upstream fetch starts or after its result is cached
+//! and granted, never between.
 //!
-//! Unlike the thread-per-connection prototype, the parent now also relays
-//! bulk `INVALIDATE <server>` messages (the §5 recovery barrage) down the
-//! tree and acks them upstream, so a restarted origin recovers through a
-//! hierarchy too.
+//! Bulk `INVALIDATE <server>` messages (the §5 recovery barrage) are
+//! relayed to every child channel and acked upstream, so a restarted
+//! origin recovers through a hierarchy too.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-use wcc_cache::{CacheStore, ReplacementPolicy};
-use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy, ServerConsistency};
+use std::net::SocketAddr;
+use wcc_cache::CacheStore;
+use wcc_core::{ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{
-    decode_frame, encode, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply,
-    ReplyStatus, RequestId, WireError,
-};
-use wcc_reactor::{BoundedPool, Interest, Poller, WakeHandle, Waker};
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, Url, WallClock};
+use wcc_proto::{GetRequest, HttpMsg, Reply, ReplyStatus};
+use wcc_types::{Body, ByteSize, ClientId, ServerId, SimTime, Url};
 
-use crate::evloop::{accept_all, Conn, Conns, TOK_LISTENER, TOK_WAKER};
-use crate::upstream::{pooled_roundtrip, UpstreamConn};
+use crate::proxy::{listen, Counters, Running, Store, Tier};
+
+/// The parent's identity upstream.
+const IDENTITY: ClientId = ClientId::from_raw(0);
+
+/// Storage scale factor of the bodies the parent sends its children.
+const DOC_SCALE: u64 = 100;
 
 /// Counters for the TCP parent.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -59,110 +57,69 @@ pub struct NetParentCounters {
     pub invalidations_relayed: u64,
     /// Bulk `INVALIDATE <server>`s received from the origin (recovery).
     pub bulk_invalidations_received: u64,
+    /// Child connections dropped (accept/registration failure, or an
+    /// upstream fetch error forcing a close).
+    pub dropped_connections: u64,
 }
 
-struct Protected {
-    policy: ProxyPolicy,
-    cache: CacheStore,
-    children: ServerConsistency,
-    next_req: RequestId,
+impl NetParentCounters {
+    fn of(c: &Counters) -> NetParentCounters {
+        let n = c.node;
+        NetParentCounters {
+            child_requests: n.requests,
+            parent_hits: c.cache_serves,
+            upstream_requests: n.gets_sent + n.ims_sent,
+            invalidations_received: n.invalidations_received,
+            inval_batches_received: n.inval_batches_received,
+            invalidations_relayed: c.relayed,
+            bulk_invalidations_received: n.bulk_invalidations_received,
+            dropped_connections: n.dropped_connections,
+        }
+    }
+}
+
+/// Adds hits a downstream cache reported to the parent's own copy of
+/// `url`, if it still holds one (§7 hit reporting).
+fn credit_hits(cache: &mut CacheStore, url: Url, hits: u64) {
+    let key = url.scoped(IDENTITY);
+    if hits > 0 && cache.peek(key).is_some() {
+        cache.add_unreported_hits(key, hits);
+    }
+}
+
+/// The child site list a parent keeps under the tier lock.
+pub(crate) struct Children {
+    sites: ServerConsistency,
     /// Latest trace time observed on a child request; used as "now" for
     /// child-lease decisions when relaying invalidations (which carry no
     /// timestamp).
-    latest_trace: wcc_types::SimTime,
-    counters: NetParentCounters,
-    /// Wall-time child GET service latency (including upstream fetches).
-    serve_latency: Histogram,
+    latest: SimTime,
 }
 
-struct ParentState {
-    identity: ClientId,
-    origin: SocketAddr,
-    server: ServerId,
-    doc_scale: u64,
-    protected: Mutex<Protected>,
-    /// Bounded keep-alive pool for the parent→origin hop.
-    upstream: Mutex<BoundedPool<UpstreamConn>>,
-    /// Child jobs handed to the workers but not yet answered.
-    outstanding: AtomicU32,
-    shutdown: AtomicBool,
-}
-
-impl ParentState {
-    /// Fetches `url` from the origin on behalf of a waiting child.
-    /// Caller must hold the `protected` lock (passed in).
-    fn fetch_upstream(
-        &self,
-        p: &mut Protected,
-        url: Url,
-        mut ims: Option<wcc_types::SimTime>,
-        issued_at: wcc_types::SimTime,
-        mut report_hits: u64,
-    ) -> std::io::Result<DocMeta> {
-        loop {
-            let req = p.next_req;
-            p.next_req = p.next_req.next();
-            p.counters.upstream_requests += 1;
-            let get = HttpMsg::Get(GetRequest {
-                req,
-                url,
-                client: self.identity,
-                ims,
-                issued_at,
-                cache_hits: report_hits,
-            });
-            let reply = pooled_roundtrip(&self.upstream, self.origin, &encode(&get))?;
-            let key = url.scoped(self.identity);
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_volume_grant(key, reply.volume_lease);
-            if !reply.piggyback.is_empty() {
-                policy.on_piggyback(&reply.piggyback, self.identity, cache);
-            }
-            match reply.meta {
-                Some(meta) => {
-                    policy.on_reply_200(key, meta, reply.lease, issued_at, cache);
-                    return Ok(meta);
-                }
-                None => {
-                    if policy.on_reply_304(key, reply.lease, issued_at, cache) {
-                        return Ok(cache.peek(key).expect("validated entry").meta);
-                    }
-                    // Evicted mid-validation: plain refetch.
-                    ims = None;
-                    report_hits = 0;
-                }
-            }
+impl Children {
+    pub(crate) fn new(cfg: &ProtocolConfig, server: ServerId) -> Children {
+        Children {
+            sites: ServerConsistency::new(cfg, server),
+            latest: SimTime::ZERO,
         }
     }
 
-    /// Answers one child `GET` end-to-end (may fetch upstream).
-    fn handle_child_get(&self, get: &GetRequest) -> std::io::Result<HttpMsg> {
-        let mut p = self.protected.lock();
-        p.counters.child_requests += 1;
-        p.latest_trace = p.latest_trace.max(get.issued_at);
-        let key = self.parent_key(get.url);
-        if get.cache_hits > 0 && p.cache.peek(key).is_some() {
-            p.cache.add_unreported_hits(key, get.cache_hits);
-        }
-        let disposition = {
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_request(key, get.issued_at, cache)
-        };
-        let meta = match disposition.action {
-            ProxyAction::ServeFromCache => {
-                p.counters.parent_hits += 1;
-                p.cache.peek(key).expect("parent hit").meta
-            }
-            ProxyAction::SendGet { ims } => {
-                let report = disposition.report_hits;
-                self.fetch_upstream(&mut p, get.url, ims, get.issued_at, report)?
-            }
-        };
-        let grant = p
-            .children
+    /// Answers one child `GET`: fetch through the parent cache under the
+    /// parent's identity, then grant the child through the site list.
+    pub(crate) fn answer(
+        &mut self,
+        tier: &Tier,
+        store: &mut Store,
+        get: &GetRequest,
+    ) -> std::io::Result<HttpMsg> {
+        self.latest = self.latest.max(get.issued_at);
+        credit_hits(&mut store.cache, get.url, get.cache_hits);
+        let meta = tier.fetch(store, IDENTITY, get.url, get.issued_at)?.meta;
+        let grant = self
+            .sites
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
         let status = if grant.send_body {
-            ReplyStatus::Ok(Body::synthetic(meta, self.doc_scale))
+            ReplyStatus::Ok(Body::synthetic(meta, DOC_SCALE))
         } else {
             ReplyStatus::NotModified
         };
@@ -177,204 +134,176 @@ impl ParentState {
         }))
     }
 
-    fn parent_key(&self, url: Url) -> wcc_types::ScopedUrl {
-        url.scoped(self.identity)
+    /// The server this parent answers for.
+    pub(crate) fn server(&self) -> ServerId {
+        self.sites.server()
     }
 
-    /// Origin pushed a coalesced `InvalidateBatch` round: drop our copy of
-    /// every listed document under one lock, collect the children each
-    /// entry must be relayed to, and build the single round ack (per-entry
-    /// §7 hit reports included).
-    fn handle_invalidate_batch(
-        &self,
-        server: wcc_types::ServerId,
-        entries: &[BatchEntry],
-    ) -> (HttpMsg, Vec<(Url, Vec<ClientId>)>) {
-        let mut p = self.protected.lock();
-        p.counters.invalidations_received += entries.len() as u64;
-        p.counters.inval_batches_received += 1;
-        let mut acks = Vec::with_capacity(entries.len());
-        let mut relays = Vec::with_capacity(entries.len());
-        for e in entries {
-            let own_hits = {
-                let Protected { policy, cache, .. } = &mut *p;
-                policy
-                    .on_invalidate(e.url, self.identity, cache)
-                    .unwrap_or(0)
-            };
-            acks.push(BatchAckEntry {
-                url: e.url,
-                client: e.client,
-                cache_hits: own_hits,
-            });
-            let now = p.latest_trace;
-            relays.push((e.url, p.children.on_modify(e.url, now)));
-        }
-        (
-            HttpMsg::InvalidateBatchAck {
-                server,
-                entries: acks,
-            },
-            relays,
-        )
+    /// The children whose copies of `url` an upstream invalidation must
+    /// reach.
+    pub(crate) fn on_modify(&mut self, url: Url) -> Vec<ClientId> {
+        self.sites.on_modify(url, self.latest)
     }
 
-    /// Origin pushed an `INVALIDATE`: drop our copy and return the ack to
-    /// send upstream plus the children to relay to.
-    fn handle_invalidate(&self, url: Url) -> (HttpMsg, Vec<ClientId>) {
-        let mut p = self.protected.lock();
-        p.counters.invalidations_received += 1;
-        let own_hits = {
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_invalidate(url, self.identity, cache).unwrap_or(0)
-        };
-        let now = p.latest_trace;
-        let recipients = p.children.on_modify(url, now);
-        (
-            HttpMsg::InvalAck {
-                url,
-                client: self.identity,
-                cache_hits: own_hits,
-            },
-            recipients,
-        )
+    /// A child acked a relayed `INVALIDATE`, reporting its unreported hits.
+    pub(crate) fn on_ack(&mut self, cache: &mut CacheStore, url: Url, child: ClientId, hits: u64) {
+        credit_hits(cache, url, hits);
+        self.sites.on_inval_ack(url, child);
     }
 
     /// Renders the parent's registry as Prometheus text exposition.
-    fn render_metrics(&self) -> String {
-        let p = self.protected.lock();
+    pub(crate) fn render_metrics(&self, c: &Counters, cached: u64, latency: &Histogram) -> String {
         let node = [("node", "parent")];
-        let c = &p.counters;
+        let p = NetParentCounters::of(c);
         let mut r = Registry::default();
-        r.set_counter(
-            "wcc_child_requests_total",
-            "Requests received from children.",
-            &node,
-            c.child_requests,
-        );
-        r.set_counter(
-            "wcc_hits_total",
-            "Child requests answered from the parent cache.",
-            &node,
-            c.parent_hits,
-        );
-        r.set_counter(
-            "wcc_misses_total",
-            "Child requests that missed the parent cache.",
-            &node,
-            c.child_requests - c.parent_hits,
-        );
-        r.set_counter(
-            "wcc_upstream_requests_total",
-            "Requests forwarded to the origin.",
-            &node,
-            c.upstream_requests,
-        );
-        r.set_counter(
-            "wcc_invalidations_total",
-            "INVALIDATEs received from the origin.",
-            &node,
-            c.invalidations_received,
-        );
-        r.set_counter(
-            "wcc_inval_batches_total",
-            "Coalesced InvalidateBatch rounds received from the origin.",
-            &node,
-            c.inval_batches_received,
-        );
-        r.set_counter(
-            "wcc_invalidations_relayed_total",
-            "INVALIDATEs relayed to children.",
-            &node,
-            c.invalidations_relayed,
-        );
-        r.set_counter(
-            "wcc_bulk_invalidations_total",
-            "Bulk INVALIDATE <server> messages received (recovery).",
-            &node,
-            c.bulk_invalidations_received,
-        );
-        let stats = p.children.table().stats();
-        r.set_gauge(
-            "wcc_sitelist_entries",
-            "Live child site-list entries (granted leases / registrations).",
-            &node,
-            stats.total_entries,
-        );
-        r.set_gauge(
-            "wcc_sitelist_tracked_documents",
-            "Documents with a non-empty child site list.",
-            &node,
-            stats.tracked_documents,
-        );
-        r.set_gauge(
-            "wcc_cached_entries",
-            "Entries currently in the parent cache.",
-            &node,
-            p.cache.len() as u64,
-        );
+        for (name, help, value) in [
+            (
+                "wcc_child_requests_total",
+                "Requests received from children.",
+                p.child_requests,
+            ),
+            (
+                "wcc_hits_total",
+                "Child requests answered from the parent cache.",
+                p.parent_hits,
+            ),
+            (
+                "wcc_misses_total",
+                "Child requests that missed the parent cache.",
+                p.child_requests - p.parent_hits,
+            ),
+            (
+                "wcc_upstream_requests_total",
+                "Requests forwarded to the origin.",
+                p.upstream_requests,
+            ),
+            (
+                "wcc_invalidations_total",
+                "INVALIDATEs received from the origin.",
+                p.invalidations_received,
+            ),
+            (
+                "wcc_inval_batches_total",
+                "Coalesced InvalidateBatch rounds received from the origin.",
+                p.inval_batches_received,
+            ),
+            (
+                "wcc_invalidations_relayed_total",
+                "INVALIDATEs relayed to children.",
+                p.invalidations_relayed,
+            ),
+            (
+                "wcc_bulk_invalidations_total",
+                "Bulk INVALIDATE <server> messages received (recovery).",
+                p.bulk_invalidations_received,
+            ),
+            (
+                "wcc_dropped_connections_total",
+                "Child connections dropped by the serving tier.",
+                p.dropped_connections,
+            ),
+        ] {
+            r.set_counter(name, help, &node, value);
+        }
+        let stats = self.sites.table().stats();
+        for (name, help, value) in [
+            (
+                "wcc_sitelist_entries",
+                "Live child site-list entries (granted leases / registrations).",
+                stats.total_entries,
+            ),
+            (
+                "wcc_sitelist_tracked_documents",
+                "Documents with a non-empty child site list.",
+                stats.tracked_documents,
+            ),
+            (
+                "wcc_cached_entries",
+                "Entries currently in the parent cache.",
+                cached,
+            ),
+        ] {
+            r.set_gauge(name, help, &node, value);
+        }
         r.set_histogram(
             "wcc_serve_latency_seconds",
             "Wall-time child GET service latency, upstream fetches included.",
             &node,
-            &p.serve_latency,
+            latency,
         );
         r.render()
     }
 }
 
-/// A child `GET` parked in the worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    get: GetRequest,
+/// A parent's reactor-local view of its children: the server it answers
+/// for and the child push channels, keyed by the partition each child
+/// declared in its `HELLO`. In a proxy, `served` is `None` and no channel
+/// is ever registered.
+pub(crate) struct Router {
+    served: Option<ServerId>,
+    channels: HashMap<u32, u64>,
+    /// Partition count declared by the children's `HELLO`s.
+    partitions: u32,
 }
 
-/// A finished job re-entering the reactor. `None` means the upstream
-/// fetch failed and the connection should close.
-struct Done {
-    token: u64,
-    seq: u64,
-    msg: Option<HttpMsg>,
-}
-
-fn worker_loop(
-    state: &Arc<ParentState>,
-    jobs: &Receiver<Job>,
-    done: &Sender<Done>,
-    wake: &WakeHandle,
-) {
-    while let Ok(job) = jobs.recv() {
-        let clock = WallClock::start();
-        let msg = state.handle_child_get(&job.get).ok();
-        // Record before the reply ships: once the child's fetch returns,
-        // a scrape must already see this serve.
-        state
-            .protected
-            .lock()
-            .serve_latency
-            .record(clock.elapsed().as_micros());
-        if done
-            .send(Done {
-                token: job.token,
-                seq: job.seq,
-                msg,
-            })
-            .is_err()
-        {
-            break;
+impl Router {
+    pub(crate) fn new(served: Option<ServerId>) -> Router {
+        Router {
+            served,
+            channels: HashMap::new(),
+            partitions: 1,
         }
-        wake.wake();
+    }
+
+    /// Whether this node is a parent (and so takes child traffic).
+    pub(crate) fn is_parent(&self) -> bool {
+        self.served.is_some()
+    }
+
+    /// Whether a downstream `GET` of `url` is answered here: a proxy
+    /// answers any server's documents, a parent only its own server's.
+    pub(crate) fn answers(&self, url: Url) -> bool {
+        self.served.is_none_or(|s| s == url.server())
+    }
+
+    /// A child's `HELLO` turned connection `token` into its push channel
+    /// (latest wins).
+    pub(crate) fn register(&mut self, partition: u32, partitions: u32, token: u64) {
+        self.partitions = partitions.max(1);
+        self.channels.insert(partition, token);
+    }
+
+    /// Connection `token` closed.
+    pub(crate) fn forget(&mut self, token: u64) {
+        self.channels.retain(|_, t| *t != token);
+    }
+
+    /// Queues one `INVALIDATE` of `url` per child onto its partition's
+    /// channel; children without a channel are skipped.
+    pub(crate) fn relay(
+        &self,
+        url: Url,
+        children: Vec<ClientId>,
+        outbox: &mut Vec<(u64, HttpMsg)>,
+    ) {
+        for client in children {
+            let partition = client.partition(self.partitions.max(1));
+            if let Some(&tok) = self.channels.get(&partition) {
+                outbox.push((tok, HttpMsg::Invalidate { url, client }));
+            }
+        }
+    }
+
+    /// Queues `msg` onto every child channel.
+    pub(crate) fn broadcast(&self, msg: &HttpMsg, outbox: &mut Vec<(u64, HttpMsg)>) {
+        outbox.extend(self.channels.values().map(|&tok| (tok, msg.clone())));
     }
 }
 
 /// A running TCP parent proxy. Shuts down on drop.
 pub struct NetParent {
     addr: SocketAddr,
-    state: Arc<ParentState>,
-    wake: WakeHandle,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    node: Running,
 }
 
 impl std::fmt::Debug for NetParent {
@@ -384,10 +313,6 @@ impl std::fmt::Debug for NetParent {
             .finish()
     }
 }
-
-/// Workers answering child `GET`s (serialised on the state lock; two let
-/// framing overlap one upstream round trip).
-const WORKERS: usize = 2;
 
 impl NetParent {
     /// Spawns a parent tier in front of `origin`. Children should point
@@ -403,84 +328,11 @@ impl NetParent {
         server: ServerId,
         capacity: ByteSize,
     ) -> std::io::Result<NetParent> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let state = Arc::new(ParentState {
-            identity: ClientId::from_raw(0),
-            origin,
-            server,
-            doc_scale: 100,
-            protected: Mutex::new(Protected {
-                policy: ProxyPolicy::new(cfg),
-                cache: CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru),
-                children: ServerConsistency::new(cfg, server),
-                next_req: RequestId::default(),
-                latest_trace: wcc_types::SimTime::ZERO,
-                counters: NetParentCounters::default(),
-                serve_latency: Histogram::default(),
-            }),
-            upstream: Mutex::new(BoundedPool::new(WORKERS + 2)),
-            outstanding: AtomicU32::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-
-        // Upstream invalidation channel: register with the origin.
-        // Established synchronously so spawn fails fast; re-established by
-        // the reactor if the origin restarts.
-        let channel = TcpStream::connect(origin)?;
-        let _ = channel.set_nodelay(true);
-        {
-            let mut w = channel.try_clone()?;
-            w.write_all(&encode(&HttpMsg::Hello {
-                partition: 0,
-                partitions: 1,
-            }))?;
-            w.flush()?;
-        }
-
-        let mut poller = Poller::new()?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
-        }
-        let waker = Waker::new()?;
-        waker.register(&mut poller, TOK_WAKER)?;
-        let wake = waker.handle()?;
-
-        let (done_tx, done_rx) = unbounded::<Done>();
-        let mut jobs_tx = Vec::with_capacity(WORKERS);
-        let mut workers = Vec::with_capacity(WORKERS);
-        for _ in 0..WORKERS {
-            let (tx, rx) = unbounded::<Job>();
-            jobs_tx.push(tx);
-            let state = Arc::clone(&state);
-            let done = done_tx.clone();
-            let wake = waker.handle()?;
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &rx, &done, &wake);
-            }));
-        }
-
-        let reactor_state = Arc::clone(&state);
-        let reactor = std::thread::spawn(move || {
-            reactor_loop(ReactorInit {
-                state: reactor_state,
-                listener,
-                poller,
-                waker,
-                channel: Some(channel),
-                jobs: jobs_tx,
-                done: done_rx,
-            });
-        });
-
+        let (listener, addr) = listen()?;
+        let tier = Tier::new(origin, (0, 1), cfg, capacity, Some(server));
         Ok(NetParent {
             addr,
-            state,
-            wake,
-            reactor: Some(reactor),
-            workers,
+            node: Running::start(tier, listener, None)?,
         })
     }
 
@@ -491,473 +343,12 @@ impl NetParent {
 
     /// Current counters.
     pub fn counters(&self) -> NetParentCounters {
-        self.state.protected.lock().counters
+        NetParentCounters::of(&self.node.tier.counters.lock())
     }
 
     /// The current Prometheus text exposition — the same body `GET
     /// /metrics` on [`NetParent::addr`] returns.
     pub fn metrics_text(&self) -> String {
-        self.state.render_metrics()
+        self.node.tier.render_metrics()
     }
-}
-
-impl Drop for NetParent {
-    fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.wake.wake();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Per-connection tag. A child connection is a plain request conn until
-/// its `HELLO` upgrades it into a push channel for one partition.
-struct KTag {
-    /// `Some(partition)` once the child sent `HELLO`.
-    partition: Option<u32>,
-    /// `true` for the parent-initiated upstream invalidation channel.
-    upstream: bool,
-    next_assign: u64,
-    next_send: u64,
-    parked: Vec<(u64, Option<HttpMsg>)>,
-}
-
-impl KTag {
-    fn child() -> KTag {
-        KTag {
-            partition: None,
-            upstream: false,
-            next_assign: 0,
-            next_send: 0,
-            parked: Vec::new(),
-        }
-    }
-
-    fn upstream() -> KTag {
-        KTag {
-            partition: None,
-            upstream: true,
-            next_assign: 0,
-            next_send: 0,
-            parked: Vec::new(),
-        }
-    }
-}
-
-struct ReactorInit {
-    state: Arc<ParentState>,
-    listener: TcpListener,
-    poller: Poller,
-    waker: Waker,
-    channel: Option<TcpStream>,
-    jobs: Vec<Sender<Job>>,
-    done: Receiver<Done>,
-}
-
-/// Reactor-local routing state shared by dispatch and the relay paths.
-struct Router {
-    /// Child push channels: partition → connection token.
-    channels: HashMap<u32, u64>,
-    /// Partition count declared by the children's `HELLO`s.
-    child_partitions: u32,
-}
-
-fn reactor_loop(init: ReactorInit) {
-    let ReactorInit {
-        state,
-        listener,
-        mut poller,
-        waker,
-        channel,
-        jobs,
-        done,
-    } = init;
-    let mut jobs = JobDealer {
-        lanes: jobs,
-        next: 0,
-    };
-    let mut conns: Conns<KTag> = Conns::with_capacity(64);
-    let mut events: Vec<wcc_reactor::Event> = Vec::with_capacity(64);
-    let mut scratch: Vec<u64> = Vec::with_capacity(64);
-    let mut router = Router {
-        channels: HashMap::new(),
-        child_partitions: 0,
-    };
-    let mut upstream_token: Option<u64> = None;
-
-    if let Some(stream) = channel {
-        upstream_token = conns.insert(&mut poller, stream, KTag::upstream()).ok();
-    }
-
-    loop {
-        let timeout = if upstream_token.is_none() {
-            Some(Duration::from_millis(250))
-        } else {
-            None
-        };
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if upstream_token.is_none() {
-            upstream_token = reconnect_upstream(&state, &mut poller, &mut conns);
-        }
-        for ev in events.iter().copied() {
-            match ev.token {
-                TOK_LISTENER => {
-                    let mut dropped = 0u64;
-                    accept_all(
-                        &listener,
-                        &mut poller,
-                        &mut conns,
-                        KTag::child,
-                        &mut dropped,
-                    );
-                }
-                TOK_WAKER => waker.drain(),
-                tok => {
-                    if ev.writable {
-                        conns.flush(&mut poller, tok);
-                    }
-                    if (ev.readable || ev.error)
-                        && drive_conn(&state, &mut poller, &mut conns, &mut jobs, &mut router, tok)
-                            .is_none()
-                    {
-                        if upstream_token == Some(tok) {
-                            upstream_token = None;
-                        }
-                        router.channels.retain(|_, t| *t != tok);
-                    }
-                }
-            }
-        }
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
-        }
-    }
-
-    // Graceful drain, then close everything.
-    let grace = WallClock::start();
-    while state.outstanding.load(Ordering::SeqCst) > 0
-        && !grace.has_elapsed(wcc_types::SimDuration::from_micros(1_000_000))
-    {
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
-        waker.drain();
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
-        }
-    }
-    conns.live_tokens(&mut scratch);
-    for tok in scratch.drain(..) {
-        conns.flush(&mut poller, tok);
-        conns.close(&mut poller, tok);
-    }
-}
-
-/// Round-robin job dealer over the per-worker inboxes.
-struct JobDealer {
-    lanes: Vec<Sender<Job>>,
-    next: usize,
-}
-
-impl JobDealer {
-    fn send(&mut self, job: Job) {
-        let lane = self.next % self.lanes.len();
-        self.next = self.next.wrapping_add(1);
-        let _ = self.lanes[lane].send(job);
-    }
-}
-
-/// Re-registers with the origin after it went away (§5: a restarted
-/// origin answers the fresh `HELLO` with a bulk `INVALIDATE <server>`).
-fn reconnect_upstream(
-    state: &Arc<ParentState>,
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-) -> Option<u64> {
-    let stream = TcpStream::connect(state.origin).ok()?;
-    let _ = stream.set_nodelay(true);
-    {
-        let mut w = stream.try_clone().ok()?;
-        w.write_all(&encode(&HttpMsg::Hello {
-            partition: 0,
-            partitions: 1,
-        }))
-        .ok()?;
-        w.flush().ok()?;
-    }
-    conns.insert(poller, stream, KTag::upstream()).ok()
-}
-
-/// Pushes `msg` onto the child channel for `client`'s partition; returns
-/// `true` if a channel existed.
-fn relay_to_child(
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-    router: &Router,
-    client: ClientId,
-    msg: &HttpMsg,
-) -> bool {
-    let partitions = router.child_partitions.max(1);
-    let Some(&tok) = router.channels.get(&client.partition(partitions)) else {
-        return false;
-    };
-    let Some(conn) = conns.get_mut(tok) else {
-        return false;
-    };
-    conn.sbuf.push_bytes(&encode(msg));
-    conns.flush(poller, tok);
-    true
-}
-
-/// Reads and dispatches every complete frame on one connection. Returns
-/// `None` if the connection was closed.
-fn drive_conn(
-    state: &Arc<ParentState>,
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-    jobs: &mut JobDealer,
-    router: &mut Router,
-    token: u64,
-) -> Option<()> {
-    {
-        let conn = conns.get_mut(token)?;
-        if conn.read_ready().is_err() {
-            conns.close(poller, token);
-            return None;
-        }
-    }
-    loop {
-        enum Step {
-            Keep,
-            CloseAfterFlush,
-            Close,
-            /// Relay `msg` to each recipient, then count successes.
-            Relay(HttpMsg, Vec<ClientId>),
-            /// Relay one per-child `INVALIDATE` for each `(url, children)`
-            /// pair of an applied batch round.
-            RelayEach(Vec<(Url, Vec<ClientId>)>),
-            /// Relay a bulk invalidation to every child channel.
-            RelayBulk(wcc_types::ServerId),
-        }
-        let step = {
-            let conn = conns.get_mut(token)?;
-            let Conn {
-                rbuf,
-                sbuf,
-                tag,
-                eof,
-                close_after_flush,
-                ..
-            } = conn;
-            match decode_frame(rbuf.data(), *eof) {
-                Ok(None) => break,
-                Err(WireError::Closed) => {
-                    if sbuf.is_empty() {
-                        conns.close(poller, token);
-                    } else {
-                        // Peer is gone; flush what is queued, then close.
-                        *close_after_flush = true;
-                        conns.flush(poller, token);
-                    }
-                    return None;
-                }
-                Err(_) => {
-                    conns.close(poller, token);
-                    return None;
-                }
-                Ok(Some((msg, used))) => {
-                    let step = if tag.upstream {
-                        match &msg {
-                            HttpMsgRef::Invalidate { url, .. } => {
-                                let (ack, recipients) = state.handle_invalidate(*url);
-                                sbuf.push_bytes(&encode(&ack));
-                                Step::Relay(
-                                    HttpMsg::Invalidate {
-                                        url: *url,
-                                        client: ClientId::from_raw(0),
-                                    },
-                                    recipients,
-                                )
-                            }
-                            HttpMsgRef::InvalidateBatch(batch) => {
-                                let entries = batch.entries();
-                                let (ack, relays) =
-                                    state.handle_invalidate_batch(batch.server, &entries);
-                                sbuf.push_bytes(&encode(&ack));
-                                Step::RelayEach(relays)
-                            }
-                            HttpMsgRef::InvalidateServer { server } => {
-                                {
-                                    let mut p = state.protected.lock();
-                                    p.counters.bulk_invalidations_received += 1;
-                                    let Protected { policy, cache, .. } = &mut *p;
-                                    policy.on_invalidate_server(*server, cache);
-                                }
-                                sbuf.push_bytes(&encode(&HttpMsg::InvalidateServerAck {
-                                    server: *server,
-                                }));
-                                Step::RelayBulk(*server)
-                            }
-                            HttpMsgRef::Get(_)
-                            | HttpMsgRef::Reply(_)
-                            | HttpMsgRef::InvalAck { .. }
-                            | HttpMsgRef::InvalidateBatchAck(_)
-                            | HttpMsgRef::InvalidateServerAck { .. }
-                            | HttpMsgRef::Hello { .. }
-                            | HttpMsgRef::MetricsGet
-                            | HttpMsgRef::Notify { .. } => Step::Close,
-                        }
-                    } else {
-                        match &msg {
-                            HttpMsgRef::Get(get) if get.url.server() == state.server => {
-                                let seq = tag.next_assign;
-                                tag.next_assign += 1;
-                                state.outstanding.fetch_add(1, Ordering::SeqCst);
-                                jobs.send(Job {
-                                    token,
-                                    seq,
-                                    get: get.clone(),
-                                });
-                                Step::Keep
-                            }
-                            HttpMsgRef::MetricsGet => {
-                                sbuf.push_bytes(&crate::scrape::metrics_response(
-                                    &state.render_metrics(),
-                                ));
-                                Step::CloseAfterFlush
-                            }
-                            HttpMsgRef::Hello {
-                                partition,
-                                partitions,
-                            } => {
-                                router.child_partitions = (*partitions).max(1);
-                                router.channels.insert(*partition, token);
-                                tag.partition = Some(*partition);
-                                Step::Keep
-                            }
-                            HttpMsgRef::InvalAck {
-                                url,
-                                client,
-                                cache_hits,
-                            } => {
-                                let mut p = state.protected.lock();
-                                if *cache_hits > 0 {
-                                    let key = url.scoped(state.identity);
-                                    if p.cache.peek(key).is_some() {
-                                        p.cache.add_unreported_hits(key, *cache_hits);
-                                    }
-                                }
-                                p.children.on_inval_ack(*url, *client);
-                                Step::Keep
-                            }
-                            // A child acking a relayed bulk invalidation.
-                            HttpMsgRef::InvalidateServerAck { .. } => Step::Keep,
-                            HttpMsgRef::Reply(_)
-                            | HttpMsgRef::Invalidate { .. }
-                            | HttpMsgRef::InvalidateServer { .. }
-                            | HttpMsgRef::Notify { .. } => Step::Close,
-                            // Guard fallthrough: a Get for a foreign server.
-                            _ => Step::Close,
-                        }
-                    };
-                    rbuf.consume(used);
-                    step
-                }
-            }
-        };
-        match step {
-            Step::Keep => {}
-            Step::CloseAfterFlush => {
-                let conn = conns.get_mut(token)?;
-                conn.close_after_flush = true;
-                break;
-            }
-            Step::Close => {
-                conns.close(poller, token);
-                return None;
-            }
-            Step::Relay(template, recipients) => {
-                let mut relayed = 0u64;
-                for client in recipients {
-                    let msg = match template {
-                        HttpMsg::Invalidate { url, .. } => HttpMsg::Invalidate { url, client },
-                        ref other => other.clone(),
-                    };
-                    if relay_to_child(poller, conns, router, client, &msg) {
-                        relayed += 1;
-                    }
-                }
-                if relayed > 0 {
-                    state.protected.lock().counters.invalidations_relayed += relayed;
-                }
-            }
-            Step::RelayEach(relays) => {
-                // Children acked per-document (`InvalAck`), so a batch
-                // round fans out downstream as ordinary `INVALIDATE`s.
-                let mut relayed = 0u64;
-                for (url, children) in relays {
-                    for client in children {
-                        let msg = HttpMsg::Invalidate { url, client };
-                        if relay_to_child(poller, conns, router, client, &msg) {
-                            relayed += 1;
-                        }
-                    }
-                }
-                if relayed > 0 {
-                    state.protected.lock().counters.invalidations_relayed += relayed;
-                }
-            }
-            Step::RelayBulk(server) => {
-                let msg = HttpMsg::InvalidateServer { server };
-                let frame = encode(&msg);
-                let tokens: Vec<u64> = router.channels.values().copied().collect();
-                for tok in tokens {
-                    if let Some(conn) = conns.get_mut(tok) {
-                        conn.sbuf.push_bytes(&frame);
-                        conns.flush(poller, tok);
-                    }
-                }
-            }
-        }
-    }
-    if conns.flush(poller, token) {
-        Some(())
-    } else {
-        None
-    }
-}
-
-/// Applies one finished job: park it, then deliver every reply that is
-/// next in pipeline order.
-fn apply_done(state: &Arc<ParentState>, poller: &mut Poller, conns: &mut Conns<KTag>, d: Done) {
-    state.outstanding.fetch_sub(1, Ordering::SeqCst);
-    let Some(conn) = conns.get_mut(d.token) else {
-        return;
-    };
-    let Conn {
-        sbuf,
-        tag,
-        close_after_flush,
-        ..
-    } = conn;
-    tag.parked.push((d.seq, d.msg));
-    while let Some(i) = tag.parked.iter().position(|(s, _)| *s == tag.next_send) {
-        let (_, msg) = tag.parked.swap_remove(i);
-        tag.next_send += 1;
-        match msg {
-            Some(m) => sbuf.push_bytes(&encode(&m)),
-            None => {
-                *close_after_flush = true;
-                break;
-            }
-        }
-    }
-    conns.flush(poller, d.token);
 }

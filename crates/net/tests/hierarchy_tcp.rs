@@ -1,24 +1,33 @@
 //! The hierarchy over real sockets: origin ← parent ← two children.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wcc_core::{ProtocolConfig, ProtocolKind};
-use wcc_net::{check_in, FetchKind, NetOrigin, NetParent, NetProxy, OriginConfig};
-use wcc_types::{ByteSize, ClientId, ServerId, SimTime, Url};
+use wcc_net::{
+    check_in, FetchKind, NetOrigin, NetParent, NetProxy, NetProxyCounters, OriginConfig,
+};
+use wcc_types::{ByteSize, ClientId, InvalBatchConfig, ServerId, SimTime, Url};
 
 fn url(doc: u32) -> Url {
     Url::new(ServerId::new(0), doc)
 }
 
-fn start() -> (NetOrigin, NetParent, NetProxy, NetProxy) {
-    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
-    let origin = NetOrigin::spawn(OriginConfig {
+fn origin_config(inval_batch: Option<InvalBatchConfig>) -> OriginConfig {
+    OriginConfig {
         server: ServerId::new(0),
         doc_sizes: vec![ByteSize::from_kib(8); 16],
-        protocol: cfg.clone(),
+        protocol: ProtocolConfig::new(ProtocolKind::Invalidation),
         doc_scale: 100,
-        inval_batch: None,
-    })
-    .expect("origin");
+        inval_batch,
+    }
+}
+
+fn start() -> (NetOrigin, NetParent, NetProxy, NetProxy) {
+    start_with(None)
+}
+
+fn start_with(inval_batch: Option<InvalBatchConfig>) -> (NetOrigin, NetParent, NetProxy, NetProxy) {
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(origin_config(inval_batch)).expect("origin");
     let parent = NetParent::spawn(
         origin.addr(),
         &cfg,
@@ -114,4 +123,112 @@ fn child_validator_is_answered_by_the_parent() {
         "carol was served by the parent, not the origin"
     );
     assert!(parent.counters().parent_hits >= 2);
+}
+
+/// Polls until `done` holds for both children or five seconds pass.
+fn wait_children(a: &NetProxy, b: &NetProxy, done: impl Fn(NetProxyCounters) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !(done(a.counters()) && done(b.counters())) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn origin_restart_recovers_through_the_parent() {
+    let (origin, parent, a, b) = start();
+    let alice = ClientId::from_raw(0);
+    let bob = ClientId::from_raw(1);
+    a.fetch(alice, url(4), SimTime::from_secs(1)).unwrap();
+    b.fetch(bob, url(4), SimTime::from_secs(2)).unwrap();
+
+    // Crash the origin and restart it on the same port in recovery mode:
+    // the parent's channel drops, it re-registers, and the restarted
+    // origin's bulk INVALIDATE <server> must reach both children.
+    let addr = origin.addr();
+    drop(origin);
+    let origin = NetOrigin::spawn_at(addr, origin_config(None), true).expect("origin restart");
+    wait_children(&a, &b, |c| c.bulk_invalidations_received > 0);
+    assert_eq!(a.counters().bulk_invalidations_received, 1);
+    assert_eq!(b.counters().bulk_invalidations_received, 1);
+    assert_eq!(parent.counters().bulk_invalidations_received, 1);
+    assert!(
+        origin.wait_recovery_complete(Duration::from_secs(10)),
+        "restart recovery did not complete through the parent"
+    );
+
+    // A write after recovery: both children fetch the new version.
+    check_in(addr, url(4), SimTime::from_secs(50)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+    for (proxy, client) in [(&a, alice), (&b, bob)] {
+        let out = proxy.fetch(client, url(4), SimTime::from_secs(51)).unwrap();
+        assert_eq!(out.meta.last_modified(), SimTime::from_secs(50));
+    }
+}
+
+#[test]
+fn batched_round_fans_out_through_the_parent() {
+    let (origin, parent, a, b) = start_with(Some(InvalBatchConfig::with_max_entries(2)));
+    let alice = ClientId::from_raw(0);
+    let bob = ClientId::from_raw(1);
+    for doc in [8, 9] {
+        a.fetch(alice, url(doc), SimTime::from_secs(1)).unwrap();
+        b.fetch(bob, url(doc), SimTime::from_secs(2)).unwrap();
+    }
+
+    // The origin's site lists hold only the parent, so two writes queue
+    // two entries: exactly the count threshold, one round to the parent,
+    // which relays one INVALIDATE per document to each child.
+    check_in(origin.addr(), url(8), SimTime::from_secs(60)).unwrap();
+    check_in(origin.addr(), url(9), SimTime::from_secs(61)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+    let pc = parent.counters();
+    assert_eq!(pc.inval_batches_received, 1);
+    assert_eq!(pc.invalidations_received, 2);
+    assert_eq!(pc.invalidations_relayed, 4);
+
+    wait_children(&a, &b, |c| c.invalidations_received >= 2);
+    for (proxy, client) in [(&a, alice), (&b, bob)] {
+        for (doc, at) in [(8, 60), (9, 61)] {
+            let out = proxy
+                .fetch(client, url(doc), SimTime::from_secs(70))
+                .unwrap();
+            assert_eq!(out.kind, FetchKind::Fetched);
+            assert_eq!(out.meta.last_modified(), SimTime::from_secs(at));
+        }
+    }
+}
+
+#[test]
+fn documents_larger_than_the_cache_are_served_uncached() {
+    // Every document is 8 KiB; these caches hold 4 KiB, so no copy is
+    // ever stored and each fetch is a fresh transfer.
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let tiny = ByteSize::from_kib(4);
+    let origin = NetOrigin::spawn(origin_config(None)).expect("origin");
+    let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, tiny).expect("proxy");
+    let parent = NetParent::spawn(origin.addr(), &cfg, ServerId::new(0), tiny).expect("parent");
+    let child = NetProxy::spawn(parent.addr(), &cfg, 0, 1, tiny).expect("child");
+    let alice = ClientId::from_raw(0);
+
+    for node in [&proxy, &child] {
+        for at in [1, 2] {
+            let out = node.fetch(alice, url(6), SimTime::from_secs(at)).unwrap();
+            assert_eq!(out.kind, FetchKind::Fetched);
+            assert!(!out.had_entry);
+            assert_eq!(out.meta.size(), ByteSize::from_kib(8));
+        }
+        assert_eq!(node.cached_entries(), 0);
+    }
+    let pc = parent.counters();
+    assert_eq!(pc.child_requests, 2);
+    assert_eq!(pc.parent_hits, 0);
+    assert_eq!(pc.upstream_requests, 2, "the parent cached nothing either");
 }

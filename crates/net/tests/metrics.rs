@@ -130,5 +130,9 @@ fn parent_metrics_scrape_is_valid() {
         sample(&text, r#"wcc_serve_latency_seconds_count{node="parent"}"#),
         Some(1.0)
     );
+    assert_eq!(
+        sample(&text, r#"wcc_dropped_connections_total{node="parent"}"#),
+        Some(0.0)
+    );
     validate_exposition(&parent.metrics_text()).unwrap();
 }

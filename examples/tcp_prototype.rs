@@ -50,6 +50,14 @@ fn main() -> std::io::Result<()> {
 
     println!("\n…the author edits the page and checks it in…\n");
     check_in(origin.addr(), page, SimTime::from_secs(60))?;
+    // NOTIFY is fire-and-forget: until the origin has processed it, write
+    // completion holds vacuously.
+    for _ in 0..2500 {
+        if origin.snapshot().notifies > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let complete = origin.wait_writes_complete(Duration::from_secs(5));
     println!(
         "write completed (all INVALIDATEs acknowledged): {complete}; \
