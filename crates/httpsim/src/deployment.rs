@@ -488,6 +488,13 @@ impl Deployment {
         self.sim.alloc_stats()
     }
 
+    /// The engine's inbox counters for the run so far: deliveries that
+    /// waited for a busy node, and the deepest backlog. Like
+    /// [`Deployment::alloc_stats`], a side accessor outside [`RawReport`].
+    pub fn inbox_stats(&self) -> wcc_simnet::InboxStats {
+        self.sim.inbox_stats()
+    }
+
     /// Runs with a wall-clock safety deadline (fault scenarios with retry
     /// loops can otherwise take long).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {

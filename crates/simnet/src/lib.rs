@@ -17,7 +17,12 @@
 //! * **CPU busy-time accounting**: a node may [`Ctx::consume`] simulated CPU
 //!   time, deferring its later deliveries — this is how the pseudo-server's
 //!   utilisation and the synchronous-invalidation request stalls are
-//!   reproduced;
+//!   reproduced. A delivery that finds its receiver busy joins the back of
+//!   the receiver's FIFO inbox; one wake event per busy node, on the node's
+//!   own lane at the end of its burst, serves the inbox head and re-arms
+//!   while deliveries wait, so a backlog of `K` costs `K` events, not the
+//!   `K²/2` of re-deferring every waiter at each burst end
+//!   ([`Simulation::inbox_stats`] counts the waits);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
 //! * small **metric primitives** (counters and min/avg/max summaries) used
 //!   by the replay reports ([`metrics`]);
@@ -76,7 +81,7 @@ pub mod sim;
 pub use arena::{Arena, ArenaStats, Handle};
 pub use event::EventQueue;
 pub use fault::{FaultEntry, FaultPlan};
-pub use metrics::{Counter, NetStats, Summary};
+pub use metrics::{Counter, InboxStats, NetStats, Summary};
 pub use net::{LinkSpec, NetworkConfig};
 pub use node::{Ctx, Node, TimerId};
 pub use shard::ShardedSimulation;

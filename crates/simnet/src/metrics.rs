@@ -75,6 +75,30 @@ impl NetStats {
     }
 }
 
+/// The engine's inbox counters: deliveries that found their receiver
+/// mid-CPU-burst and waited in its inbox (see [`crate::Ctx::consume`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct InboxStats {
+    /// Deliveries that waited in an inbox, each counted once.
+    pub deferred: u64,
+    /// The most deliveries any one inbox held at once.
+    pub max_depth: u64,
+}
+
+impl InboxStats {
+    pub(crate) fn record(&mut self, depth: usize) {
+        self.deferred += 1;
+        self.max_depth = self.max_depth.max(depth as u64);
+    }
+
+    /// Adds another shard's counters: deferrals sum, the depth takes the
+    /// max (every inbox lives on one shard).
+    pub(crate) fn absorb(&mut self, other: InboxStats) {
+        self.deferred += other.deferred;
+        self.max_depth = self.max_depth.max(other.max_depth);
+    }
+}
+
 /// An online min/avg/max summary of simulated durations — the shape of the
 /// paper's latency rows (Avg/Min/Max Latency) — with the full distribution
 /// kept in a mergeable log-linear [`Histogram`] for tail quantiles.

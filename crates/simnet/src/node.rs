@@ -175,8 +175,9 @@ impl<M> Ctx<'_, M> {
     /// Accounts `amount` of CPU work to this node.
     ///
     /// The node is modelled as a single-core server: while it is busy, later
-    /// message deliveries are deferred until the busy period ends (timers
-    /// still fire on schedule). Accumulated busy time divided by wall time
+    /// message deliveries wait in its inbox and are served in arrival order
+    /// once the busy period ends (timers still fire on schedule, and work a
+    /// timer consumes only makes the inbox wait longer). Accumulated busy time divided by wall time
     /// is the node's CPU utilisation — the simulator's analogue of the
     /// paper's `iostat` CPU numbers.
     pub fn consume(&mut self, amount: SimDuration) {

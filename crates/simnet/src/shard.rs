@@ -36,7 +36,7 @@
 //! always before the first window their arrival time can fall into.
 
 use crate::event::Rank;
-use crate::metrics::NetStats;
+use crate::metrics::{InboxStats, NetStats};
 use crate::sim::{EngineEvent, NodeState, ShardRoute, Simulation};
 use crate::EventQueue;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -179,7 +179,9 @@ impl<M: Send + 'static> ShardedSimulation<M> {
                 queue.set_next_external_seq(external_seq);
                 Simulation {
                     nodes: Vec::with_capacity(assignment.len()),
-                    states: states.clone(),
+                    states: (0..assignment.len())
+                        .map(|_| NodeState::default())
+                        .collect(),
                     queue,
                     arena: crate::Arena::new(),
                     config: sim.config.clone(),
@@ -190,6 +192,11 @@ impl<M: Send + 'static> ShardedSimulation<M> {
                         sim.stats.clone()
                     } else {
                         NetStats::default()
+                    },
+                    inbox_stats: if s == 0 {
+                        sim.inbox_stats
+                    } else {
+                        InboxStats::default()
                     },
                     cancelled: FxHashSet::default(),
                     now: sim.now,
@@ -204,7 +211,10 @@ impl<M: Send + 'static> ShardedSimulation<M> {
             })
             .collect();
 
-        for (i, mut node) in nodes.into_iter().enumerate() {
+        // A node's state, its inbox included, lives only on its owner: the
+        // owner's wake serves the inbox, and sends to it from other shards
+        // arrive there.
+        for (i, (mut node, state)) in nodes.into_iter().zip(states).enumerate() {
             for (s, shard) in shards.iter_mut().enumerate() {
                 shard.nodes.push(if s == assignment[i] {
                     node.take()
@@ -212,6 +222,7 @@ impl<M: Send + 'static> ShardedSimulation<M> {
                     None
                 });
             }
+            shards[assignment[i]].states[i] = state;
         }
         // A cancelled timer is removed from the set when it fires; keep each
         // entry only on the shard that will fire it, so the merged set is an
@@ -224,7 +235,7 @@ impl<M: Send + 'static> ShardedSimulation<M> {
                 EngineEvent::Deliver { dst, .. } => {
                     shards[assignment[dst.as_usize()]].schedule_event(at, rank, event);
                 }
-                EngineEvent::Timer { node, .. } => {
+                EngineEvent::Timer { node, .. } | EngineEvent::Wake { node } => {
                     shards[assignment[node.as_usize()]].schedule_event(at, rank, event);
                 }
                 EngineEvent::Fault(action) => {
@@ -416,9 +427,10 @@ impl<M: Send + 'static> ShardedSimulation<M> {
     }
 
     /// Reassembles the shards into one ordinary [`Simulation`]: nodes and
-    /// per-node state from their owners, statistics summed, timer
-    /// tombstones unioned, leftover events (beyond a deadline) re-merged
-    /// with their keys intact, and the clock at the latest shard clock.
+    /// per-node state (inboxes included) from their owners, statistics
+    /// summed, timer tombstones unioned, leftover events (beyond a
+    /// deadline) re-merged with their keys intact, and the clock at the
+    /// latest shard clock.
     pub fn into_simulation(self) -> Simulation<M> {
         let ShardedSimulation {
             shards, assignment, ..
@@ -428,12 +440,13 @@ impl<M: Send + 'static> ShardedSimulation<M> {
         merged.reach = shards[0].reach.clone();
         merged.started = true;
         merged.nodes = (0..n).map(|_| None).collect();
-        merged.states = vec![NodeState::default(); n];
+        merged.states = (0..n).map(|_| NodeState::default()).collect();
 
         let mut external_seq = 0;
         for (s, mut shard) in shards.into_iter().enumerate() {
             merged.now = merged.now.max(shard.now);
             merged.stats.absorb(&shard.stats);
+            merged.inbox_stats.absorb(shard.inbox_stats);
             merged.cancelled.extend(shard.cancelled.drain());
             external_seq = external_seq.max(shard.queue.next_external_seq());
             // Drain leftover events before partially moving the node vector
@@ -441,10 +454,10 @@ impl<M: Send + 'static> ShardedSimulation<M> {
             // merged simulation's so `alloc_stats` reports the whole run.
             let leftovers = shard.drain_events();
             merged.arena.absorb_stats(shard.alloc_stats());
-            for (i, node) in shard.nodes.into_iter().enumerate() {
+            for (i, (node, state)) in shard.nodes.into_iter().zip(shard.states).enumerate() {
                 if assignment[i] == s {
                     merged.nodes[i] = node;
-                    merged.states[i] = shard.states[i];
+                    merged.states[i] = state;
                 }
             }
             for (at, rank, event) in leftovers {
@@ -648,6 +661,31 @@ mod tests {
                 sequential,
                 "threaded={threaded}"
             );
+        }
+    }
+
+    #[test]
+    fn split_mid_backlog_carries_the_inbox() {
+        // Every pinger fires on the same ticks, so the server's later pings
+        // queue behind the first one's CPU burst. Pause inside such a
+        // backlog, split, and finish sharded.
+        let sequential = run_sequential(SimTime::NEVER, None);
+        let (mut probe, _) = build();
+        let mut pause = SimTime::ZERO;
+        while probe.states[0].inbox.is_empty() {
+            assert!(pause < SimTime::from_millis(200), "no backlog formed");
+            pause += SimDuration::from_micros(10);
+            probe.run_until(pause);
+        }
+        for threaded in [false, true] {
+            let (mut sim, ids) = build();
+            sim.run_until(pause);
+            assert!(!sim.states[0].inbox.is_empty(), "paused mid-backlog");
+            let mut sharded = ShardedSimulation::split(sim, &[0, 1, 2, 1]).expect("three shards");
+            sharded.run_until_with(SimTime::NEVER, threaded);
+            let sim = sharded.into_simulation();
+            assert_eq!(fingerprint(&sim, &ids), sequential, "threaded={threaded}");
+            assert!(sim.inbox_stats().max_depth >= 2);
         }
     }
 

@@ -2,11 +2,12 @@
 
 use crate::arena::{Arena, ArenaStats, Handle};
 use crate::event::Rank;
-use crate::metrics::NetStats;
+use crate::metrics::{InboxStats, NetStats};
 use crate::net::{NetworkConfig, Reachability};
 use crate::node::{Ctx, Node, TimerId};
 use crate::EventQueue;
 use std::any::Any;
+use std::collections::VecDeque;
 use wcc_types::{FxHashSet, NodeId, SimDuration, SimTime};
 
 /// Internal engine events.
@@ -20,6 +21,11 @@ pub(crate) enum EngineEvent<M> {
         dst: NodeId,
         /// Payload.
         msg: M,
+    },
+    /// Serve the head of `node`'s inbox (see [`NodeState::inbox`]).
+    Wake {
+        /// The node whose inbox waits.
+        node: NodeId,
     },
     /// Fire timer `id` with `token` on `node`.
     Timer {
@@ -59,15 +65,30 @@ impl<M, T: Node<M> + Any> AnyNode<M> for T {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct NodeState {
+pub(crate) struct NodeState<M> {
     pub(crate) busy_until: SimTime,
     pub(crate) busy_accum: SimDuration,
     /// The node's lane sequence counter: every event this node schedules
-    /// (sends, timers, and engine-side busy deferrals *to* it) consumes one
+    /// (sends, timers, and the engine-side wakes of its inbox) consumes one
     /// value, making the event's `(time, lane, seq)` key a pure function of
     /// the node's own history — the invariant sharded execution relies on.
     pub(crate) seq: u64,
+    /// Deliveries that found the node mid-CPU-burst, oldest first, with
+    /// their senders. Between events it is non-empty exactly while one
+    /// [`EngineEvent::Wake`] for the node sits in the queue, so an empty
+    /// queue still means idle.
+    pub(crate) inbox: VecDeque<(NodeId, M)>,
+}
+
+impl<M> Default for NodeState<M> {
+    fn default() -> Self {
+        NodeState {
+            busy_until: SimTime::ZERO,
+            busy_accum: SimDuration::ZERO,
+            seq: 0,
+            inbox: VecDeque::new(),
+        }
+    }
 }
 
 /// Cross-shard routing state, present only while a [`Simulation`] runs as
@@ -90,7 +111,7 @@ pub(crate) struct ShardRoute<M> {
 /// gets `NodeId(0)`, and so on. See the crate-level docs for a full example.
 pub struct Simulation<M> {
     pub(crate) nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
-    pub(crate) states: Vec<NodeState>,
+    pub(crate) states: Vec<NodeState<M>>,
     /// The queue holds [`Handle`]s into `arena`, so ring-bucket moves shuffle
     /// three words instead of full event payloads.
     pub(crate) queue: EventQueue<Handle>,
@@ -100,6 +121,7 @@ pub struct Simulation<M> {
     pub(crate) config: NetworkConfig,
     pub(crate) reach: Reachability,
     pub(crate) stats: NetStats,
+    pub(crate) inbox_stats: InboxStats,
     pub(crate) cancelled: FxHashSet<TimerId>,
     pub(crate) now: SimTime,
     pub(crate) started: bool,
@@ -120,6 +142,7 @@ impl<M: 'static> Simulation<M> {
             config,
             reach: Reachability::default(),
             stats: NetStats::default(),
+            inbox_stats: InboxStats::default(),
             cancelled: FxHashSet::default(),
             now: SimTime::ZERO,
             started: false,
@@ -235,6 +258,13 @@ impl<M: 'static> Simulation<M> {
         self.arena.stats()
     }
 
+    /// How many deliveries waited in an inbox for a busy receiver, and the
+    /// deepest inbox seen. A side accessor like [`Simulation::alloc_stats`],
+    /// not a report field.
+    pub fn inbox_stats(&self) -> InboxStats {
+        self.inbox_stats
+    }
+
     /// Schedules `node` to crash at `at`: it loses all messages and timers
     /// until recovered.
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
@@ -322,18 +352,19 @@ impl<M: 'static> Simulation<M> {
                 }
                 let state = &mut self.states[dst.as_usize()];
                 if state.busy_until > self.now {
-                    // Receiver is mid-CPU-burst: defer on the receiver's own
-                    // lane, preserving FIFO order among its deferred
-                    // deliveries via the lane sequence.
-                    let rank = Rank::node(dst.index(), state.seq);
-                    state.seq += 1;
-                    let at = state.busy_until;
-                    let handle = self.arena.alloc(EngineEvent::Deliver { src, dst, msg });
-                    self.queue.schedule_ranked(at, rank, handle);
+                    // Receiver is mid-CPU-burst: queue behind the deliveries
+                    // already waiting; the first one arms the node's wake.
+                    let first = state.inbox.is_empty();
+                    state.inbox.push_back((src, msg));
+                    self.inbox_stats.record(state.inbox.len());
+                    if first {
+                        self.arm_wake(dst);
+                    }
                     return;
                 }
                 self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
             }
+            EngineEvent::Wake { node } => self.wake(node),
             EngineEvent::Timer { node, token, id } => {
                 let tombstoned = !self.cancelled.is_empty() && self.cancelled.remove(&id);
                 if tombstoned || self.reach.is_crashed(node) {
@@ -361,6 +392,38 @@ impl<M: 'static> Simulation<M> {
                 FaultAction::Sever(a, b) => self.reach.sever(a, b),
                 FaultAction::Heal(a, b) => self.reach.heal(a, b),
             },
+        }
+    }
+
+    /// Schedules `id`'s wake at the end of its current burst (or now, if it
+    /// is idle) on its own lane, taking the next lane sequence number.
+    fn arm_wake(&mut self, id: NodeId) {
+        let state = &mut self.states[id.as_usize()];
+        let at = state.busy_until.max(self.now);
+        let rank = Rank::node(id.index(), state.seq);
+        state.seq += 1;
+        let handle = self.arena.alloc(EngineEvent::Wake { node: id });
+        self.queue.schedule_ranked(at, rank, handle);
+    }
+
+    /// Serves the head of `id`'s inbox if the node is idle, then re-arms the
+    /// wake while deliveries remain. A timer that extended the burst just
+    /// pushes the wake later: the inbox keeps its FIFO order. Waiting
+    /// deliveries come up together at the wake, so a crashed receiver loses
+    /// them all then.
+    fn wake(&mut self, id: NodeId) {
+        let state = &mut self.states[id.as_usize()];
+        if self.reach.is_crashed(id) {
+            self.stats.dropped += state.inbox.len() as u64;
+            state.inbox.clear();
+            return;
+        }
+        if state.busy_until <= self.now {
+            let (src, msg) = state.inbox.pop_front().expect("a wake has an inbox");
+            self.with_node(id, |node, ctx| node.on_message(src, msg, ctx));
+        }
+        if !self.states[id.as_usize()].inbox.is_empty() {
+            self.arm_wake(id);
         }
     }
 
@@ -571,5 +634,101 @@ mod tests {
     struct Burner;
     impl Node<u32> for Burner {
         fn on_message(&mut self, _f: NodeId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+    }
+
+    /// Consumes `cost` per message and records `(msg, served at)`; a timer
+    /// (token = its delay in ms) extends the burst by `timer_cost`.
+    struct Recorder {
+        cost: SimDuration,
+        timer_cost: SimDuration,
+        timers: Vec<u64>,
+        served: Vec<(u32, SimTime)>,
+    }
+
+    impl Recorder {
+        fn new(cost: SimDuration) -> Self {
+            Recorder {
+                cost,
+                timer_cost: SimDuration::ZERO,
+                timers: Vec::new(),
+                served: Vec::new(),
+            }
+        }
+    }
+
+    impl Node<u32> for Recorder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for &ms in &self.timers {
+                ctx.set_timer(SimDuration::from_millis(ms), ms);
+            }
+        }
+        fn on_message(&mut self, _f: NodeId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.served.push((msg, ctx.now()));
+            ctx.consume(self.cost);
+        }
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, u32>) {
+            ctx.consume(self.timer_cost);
+        }
+    }
+
+    #[test]
+    fn a_backlog_costs_linear_events_and_drains_in_order() {
+        const K: u32 = 1000;
+        let mut sim: Simulation<u32> = Simulation::new(NetworkConfig::lan());
+        let n = sim.add_node(Recorder::new(SimDuration::from_millis(1)));
+        for i in 0..K {
+            sim.inject(n, i, SimTime::ZERO);
+        }
+        sim.run_until_idle();
+        let expected: Vec<(u32, SimTime)> = (0..K)
+            .map(|i| (i, SimTime::from_millis(u64::from(i))))
+            .collect();
+        assert_eq!(sim.node_ref::<Recorder>(n).served, expected);
+        // K injections plus one wake per waiting delivery; re-deferring
+        // every waiting delivery at each burst end costs ~K²/2 instead.
+        let alloc = sim.alloc_stats();
+        assert!(
+            alloc.allocated <= 2 * u64::from(K) + 16,
+            "{} events for a backlog of {K}",
+            alloc.allocated
+        );
+        assert_eq!(alloc.live, 0);
+        let inbox = sim.inbox_stats();
+        assert_eq!(inbox.deferred, u64::from(K - 1));
+        assert_eq!(inbox.max_depth, u64::from(K - 1));
+    }
+
+    #[test]
+    fn a_timer_extending_the_burst_keeps_the_inbox_fifo() {
+        let mut sim: Simulation<u32> = Simulation::new(NetworkConfig::lan());
+        let mut recorder = Recorder::new(SimDuration::from_millis(10));
+        recorder.timers.push(5);
+        recorder.timer_cost = SimDuration::from_millis(20);
+        let n = sim.add_node(recorder);
+        // 0 starts a burst to 10 ms; A (1) and B (2) wait for it; the 5 ms
+        // timer extends the burst to 30 ms; C (3) arrives after that.
+        for (msg, ms) in [(0, 0), (1, 1), (2, 2), (3, 6)] {
+            sim.inject(n, msg, SimTime::from_millis(ms));
+        }
+        sim.run_until_idle();
+        let served = &sim.node_ref::<Recorder>(n).served;
+        let order: Vec<u32> = served.iter().map(|&(msg, _)| msg).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(served[1].1, SimTime::from_millis(30));
+        assert_eq!(sim.inbox_stats().max_depth, 3);
+    }
+
+    #[test]
+    fn a_crashed_receiver_loses_its_inbox_at_the_wake() {
+        let mut sim: Simulation<u32> = Simulation::new(NetworkConfig::lan());
+        let n = sim.add_node(Recorder::new(SimDuration::from_millis(10)));
+        for i in 0..4 {
+            sim.inject(n, i, SimTime::ZERO);
+        }
+        sim.schedule_crash(n, SimTime::from_millis(5));
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<Recorder>(n).served.len(), 1);
+        assert_eq!(sim.net_stats().dropped, 3);
+        assert_eq!(sim.alloc_stats().live, 0);
     }
 }

@@ -8,6 +8,8 @@
 //!             [--metrics]
 //! wcc replay  --family flash-crowd [--protocol NAME] [--scale N] [--seed N]
 //!             [--shards N|auto] [--audit]     # city-scale scenario families
+//!             [--wan] [--shared] [--cache-mib N] [--inval-batch N]
+//!             [--lease-days N] [--volume-mins N] [--adaptive-lease]
 //! wcc trio    --trace sask [--scale N] [--seed N] [--jobs N]  # Tables 3/4 block
 //! wcc trace   <path>                                # analyse a --trace-out log
 //! wcc summary [--scale N] [--seed N]                # Table 2
@@ -96,6 +98,33 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
+    /// Fails on a stray positional argument, a flag outside `known` (name,
+    /// takes a value) or a value missing or left over, instead of ignoring
+    /// it.
+    fn expect_only(
+        &self,
+        command: &str,
+        positionals: usize,
+        known: &[(&str, bool)],
+    ) -> Result<(), String> {
+        if let Some(extra) = self.positional.get(positionals) {
+            return Err(format!("{command}: unexpected argument {extra:?}"));
+        }
+        for (name, value) in &self.flags {
+            match (known.iter().find(|(n, _)| n == name), value) {
+                (None, _) => return Err(format!("{command}: unknown flag --{name}\n{}", usage())),
+                (Some((_, true)), None) => {
+                    return Err(format!("{command}: --{name} needs a value"))
+                }
+                (Some((_, false)), Some(v)) => {
+                    return Err(format!("{command}: --{name} takes no value, got {v:?}"))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     fn num(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.value(name) {
             None => Ok(default),
@@ -106,8 +135,41 @@ impl Args {
     }
 }
 
+/// Every flag `wcc replay` reads, and whether it takes a value.
+const REPLAY_FLAGS: [(&str, bool); 19] = [
+    ("family", true),
+    ("trace", true),
+    ("protocol", true),
+    ("lifetime-days", true),
+    ("scale", true),
+    ("seed", true),
+    ("wan", false),
+    ("decoupled", false),
+    ("hierarchy", false),
+    ("shared", false),
+    ("lease-days", true),
+    ("volume-mins", true),
+    ("adaptive-lease", false),
+    ("cache-mib", true),
+    ("audit", false),
+    ("inval-batch", true),
+    ("shards", true),
+    ("trace-out", true),
+    ("metrics", false),
+];
+
+/// The `wcc replay` flags that only a single-trace replay reads.
+const SINGLE_TRACE_FLAGS: [&str; 6] = [
+    "trace",
+    "lifetime-days",
+    "trace-out",
+    "metrics",
+    "hierarchy",
+    "decoupled",
+];
+
 fn usage() -> &'static str {
-    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--shards N|auto]\n              [--trace-out PATH] [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--shards N|auto] [--audit]   # families: zipf-federation,\n              flash-crowd, breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--shards N|auto]\n              [--trace-out PATH] [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--shards N|auto] [--audit] [--wan] [--shared] [--cache-mib N]\n              [--inval-batch N] [--lease-days N] [--volume-mins N]\n              [--adaptive-lease]   # families: zipf-federation,\n              flash-crowd, breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
 }
 
 fn spec_for(args: &Args) -> Result<TraceSpec, String> {
@@ -258,10 +320,11 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         let names: Vec<_> = WorkloadFamily::ALL.iter().map(|f| f.name()).collect();
         format!("unknown family {name:?}; one of {}", names.join(", "))
     })?;
-    if args.flag("hierarchy") || args.flag("decoupled") {
-        return Err("--family runs a flat multi-origin federation; \
-                    --hierarchy/--decoupled are single-origin modes"
-            .to_string());
+    if let Some(flag) = SINGLE_TRACE_FLAGS.iter().find(|f| args.flag(f)) {
+        return Err(format!(
+            "--family runs a flat multi-origin federation; \
+             --{flag} applies to single-trace replays only"
+        ));
     }
     let scale = args.num("scale", 1)?.max(1);
     let seed = args.num("seed", 1997)?;
@@ -332,6 +395,7 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
 }
 
 fn cmd_replay(args: &Args) -> Result<(), String> {
+    args.expect_only("replay", 1, &REPLAY_FLAGS)?;
     if let Some(name) = args.value("family") {
         let name = name.to_string();
         return cmd_replay_family(args, &name);

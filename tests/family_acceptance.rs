@@ -8,6 +8,9 @@
 //!   layout (merged record stream + AoS site-list entries), per the
 //!   deterministic memory model.
 //!
+//! A smaller flash-crowd federation also pins the engine cost of
+//! invalidation's backlogs: events per request within 1.5× adaptive TTL's.
+//!
 //! The request count is reduced from the city preset's 160 000 so the
 //! debug-mode oracle run stays in test-suite budget; the client pool and
 //! origin fan-out — the axes this gate is about — stay at full city scale.
@@ -71,5 +74,36 @@ fn city_flash_crowd_memory_layout_cuts_peak_state_bytes_by_thirty_percent() {
         memory.peak_bytes(),
         memory.legacy_peak_bytes(),
         memory.reduction_pct()
+    );
+}
+
+/// Engine events per request of one small flash-crowd replay, plus the
+/// deepest inbox a busy node built up.
+fn events_per_request(kind: ProtocolKind) -> (f64, u64) {
+    let cfg = FamilyConfig::city(WorkloadFamily::FlashCrowd).scaled_down(5);
+    let workload = family::generate(&cfg, 1997);
+    let protocol = ProtocolConfig::new(kind);
+    let mut deployment =
+        Deployment::build_multi(&workload.workloads, &protocol, DeploymentOptions::default());
+    deployment.run();
+    let requests = deployment.collect().requests;
+    assert_eq!(requests, workload.total_requests());
+    let events = deployment.alloc_stats().allocated;
+    (
+        events as f64 / requests as f64,
+        deployment.inbox_stats().max_depth,
+    )
+}
+
+#[test]
+fn flash_crowd_invalidation_costs_at_most_one_and_a_half_times_ttl_events() {
+    let (inval, inval_depth) = events_per_request(ProtocolKind::Invalidation);
+    let (ttl, _) = events_per_request(ProtocolKind::AdaptiveTtl);
+    // The crowd's invalidation round does queue up at the origins; each
+    // waiting delivery must cost one wake, not a re-deferral per burst.
+    assert!(inval_depth > 1, "no backlog formed (depth {inval_depth})");
+    assert!(
+        inval <= 1.5 * ttl,
+        "invalidation {inval:.3} events/request vs adaptive TTL {ttl:.3}"
     );
 }
